@@ -25,6 +25,8 @@ struct BtbEntry
 {
     Addr target = kInvalidAddr;
     isa::InstrKind kind = isa::InstrKind::CondBranch;
+
+    bool operator==(const BtbEntry &) const = default;
 };
 
 /**
@@ -81,6 +83,15 @@ class Btb
         }
         array.insert(key(pc), BtbEntry{target, kind});
     }
+
+    /** Functional-warmup checkpoint: what update() mutates. */
+    using Checkpoint = mem::SetAssocCache<BtbEntry>::Checkpoint;
+
+    Checkpoint capture() const { return array.capture(); }
+
+    /** Reinstate @p cp into a freshly constructed BTB of the same
+     *  geometry. */
+    void restore(const Checkpoint &cp) { array.restore(cp); }
 
     const StatSet &stats() const { return statSet; }
     StatSet &stats() { return statSet; }

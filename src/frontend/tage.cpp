@@ -1,5 +1,6 @@
 #include "frontend/tage.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -201,6 +202,47 @@ Tage::updateHistoryUnconditional(Addr pc)
     // Unconditional transfers inject a path bit so that history reflects
     // call/return structure.
     shiftHistory((pc >> 4) & 1);
+}
+
+Tage::Checkpoint
+Tage::capture() const
+{
+    Checkpoint cp;
+    cp.base.assign(base.begin(), base.end());
+    for (const auto &t : tables)
+        cp.tables.emplace_back(t.begin(), t.end());
+    cp.foldedIndex = foldedIndex;
+    cp.foldedTag0 = foldedTag0;
+    cp.foldedTag1 = foldedTag1;
+    cp.history.assign(history.begin(), history.end());
+    cp.histHead = histHead;
+    cp.useAltOnNa = useAltOnNa;
+    cp.allocSeed = allocSeed;
+    cp.last = last;
+    cp.stats = statSet.all();
+    return cp;
+}
+
+void
+Tage::restore(const Checkpoint &cp)
+{
+    assert(cp.base.size() == base.size() &&
+           cp.tables.size() == tables.size() &&
+           cp.history.size() == history.size());
+    std::copy(cp.base.begin(), cp.base.end(), base.begin());
+    for (std::size_t t = 0; t < tables.size(); ++t)
+        std::copy(cp.tables[t].begin(), cp.tables[t].end(),
+                  tables[t].begin());
+    foldedIndex = cp.foldedIndex;
+    foldedTag0 = cp.foldedTag0;
+    foldedTag1 = cp.foldedTag1;
+    std::copy(cp.history.begin(), cp.history.end(), history.begin());
+    histHead = cp.histHead;
+    useAltOnNa = cp.useAltOnNa;
+    allocSeed = cp.allocSeed;
+    last = cp.last;
+    for (const auto &[name, value] : cp.stats)
+        statSet.add(name, value);
 }
 
 } // namespace dcfb::frontend

@@ -16,6 +16,8 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/sat_counter.h"
@@ -77,6 +79,18 @@ class Tage
     /** Advance history for a non-conditional control transfer (calls,
      *  jumps, returns shift path history too). */
     void updateHistoryUnconditional(Addr pc);
+
+    /**
+     * Functional-warmup checkpoint: every table, the history ring, the
+     * folded histories, the allocation/use-alt state and the statistics
+     * keys predict()/update() interned.
+     */
+    struct Checkpoint;
+    Checkpoint capture() const;
+
+    /** Reinstate @p cp into a freshly constructed predictor of the same
+     *  geometry. */
+    void restore(const Checkpoint &cp);
 
     const StatSet &stats() const { return statSet; }
     StatSet &stats() { return statSet; }
@@ -157,6 +171,21 @@ class Tage
     obs::LazyCounter cCorrect;
     obs::LazyCounter cMispredict;
     obs::LazyCounter cAllocations;
+};
+
+struct Tage::Checkpoint
+{
+    std::vector<SatCounter> base;
+    std::vector<std::vector<TaggedEntry>> tables;
+    std::vector<FoldedHistory> foldedIndex;
+    std::vector<FoldedHistory> foldedTag0;
+    std::vector<FoldedHistory> foldedTag1;
+    std::vector<std::uint8_t> history;
+    std::size_t histHead = 0;
+    SatCounter useAltOnNa;
+    std::uint64_t allocSeed = 0;
+    Lookup last;
+    std::map<std::string, std::uint64_t> stats;
 };
 
 } // namespace dcfb::frontend

@@ -14,6 +14,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -31,12 +32,33 @@ template <typename Meta>
 class SetAssocCache
 {
   public:
+    /** Both 8-byte fields first, so `valid` and a small meta share one
+     *  tail word: an LLC line (one-bool meta) is 24 bytes, not 32. */
     struct Line
     {
         Addr blockAddr = kInvalidAddr; //!< block-aligned address
-        bool valid = false;
         std::uint64_t lastUse = 0;
+        bool valid = false;
         Meta meta{};
+
+        bool operator==(const Line &) const = default;
+    };
+
+    /**
+     * Sparse copy of the line array (functional-warmup checkpoints):
+     * every line that differs from a default-constructed one, with its
+     * array index, plus the LRU clock.  Untouched lines are implied, so
+     * a mostly-cold 32 MB LLC costs only its touched lines.
+     */
+    struct Checkpoint
+    {
+        struct Slot
+        {
+            std::uint32_t index = 0;
+            Line line;
+        };
+        std::vector<Slot> lines;
+        std::uint64_t tick = 0;
     };
 
     /** Result of an insertion: the line that was displaced, if any. */
@@ -193,6 +215,47 @@ class SetAssocCache
     std::size_t capacityBytes() const
     {
         return std::size_t{numSets} * assoc * kBlockBytes;
+    }
+
+    /**
+     * Sparse copy of this array (see Checkpoint).  Two passes, count
+     * then copy, so the long-held vector is exactly sized.  @p progress,
+     * when set, runs every 64 K lines: a liveness hook for callers that
+     * must report in while a large array is scanned.
+     */
+    Checkpoint
+    capture(const std::function<void()> &progress = {}) const
+    {
+        const Line blank{};
+        auto each_touched = [&](auto &&visit) {
+            for (std::size_t i = 0; i < lines.size(); ++i) {
+                if (progress && i % 65536 == 0)
+                    progress();
+                if (lines[i] != blank)
+                    visit(i);
+            }
+        };
+        std::size_t n = 0;
+        each_touched([&n](std::size_t) { ++n; });
+        Checkpoint cp;
+        cp.tick = tick;
+        cp.lines.reserve(n);
+        each_touched([&](std::size_t i) {
+            cp.lines.push_back({static_cast<std::uint32_t>(i), lines[i]});
+        });
+        return cp;
+    }
+
+    /** Reinstate @p cp into a freshly constructed array of the same
+     *  geometry (its unlisted lines are already default). */
+    void
+    restore(const Checkpoint &cp)
+    {
+        for (const auto &slot : cp.lines) {
+            assert(slot.index < lines.size());
+            lines[slot.index] = slot.line;
+        }
+        tick = cp.tick;
     }
 
     /** Count of valid lines (tests/occupancy reports). */

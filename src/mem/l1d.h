@@ -80,12 +80,24 @@ class L1dCache
             array.insert(addr, Empty{});
     }
 
+    /** Functional-warmup checkpoint: what warmInsert() mutates. */
+    struct Checkpoint;
+    Checkpoint capture() const;
+
+    /** Reinstate @p cp into a freshly constructed cache of the same
+     *  geometry. */
+    void restore(const Checkpoint &cp);
+
     const StatSet &stats() const { return statSet; }
     StatSet &stats() { return statSet; }
 
   private:
     struct Empty
-    {};
+    {
+        bool operator==(const Empty &) const = default;
+    };
+    static_assert(sizeof(SetAssocCache<Empty>::Line) == 24,
+                  "an L1d line packs into three words");
 
     L1dConfig cfg;
     Llc &llc;
@@ -95,6 +107,23 @@ class L1dCache
     // previous per-access string adds (see obs::LazyCounter).
     obs::LazyCounter cAccesses, cStores, cHits, cMisses;
 };
+
+struct L1dCache::Checkpoint
+{
+    SetAssocCache<Empty>::Checkpoint lines;
+};
+
+inline L1dCache::Checkpoint
+L1dCache::capture() const
+{
+    return {array.capture()};
+}
+
+inline void
+L1dCache::restore(const Checkpoint &cp)
+{
+    array.restore(cp.lines);
+}
 
 } // namespace dcfb::mem
 

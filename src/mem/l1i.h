@@ -57,6 +57,8 @@ struct L1iMeta
     std::uint8_t localStatus = 0xf; //!< SN4L 4-bit local prefetch status
     Cycle fillLatency = 0;       //!< LLC round trip that filled the line
     Cycle filledAt = 0;          //!< cycle the fill completed
+
+    bool operator==(const L1iMeta &) const = default;
 };
 
 /**
@@ -193,6 +195,28 @@ class L1iCache
     /** Functional warmup: install the block as a demanded line without
      *  timing or statistics. */
     void warmInsert(Addr addr);
+
+    /** Functional-warmup checkpoint: what warmInsert() mutates. */
+    struct Checkpoint
+    {
+        SetAssocCache<L1iMeta>::Checkpoint lines;
+        Addr lastDemandBlock = kInvalidAddr;
+    };
+
+    Checkpoint
+    capture() const
+    {
+        return {array.capture(), lastDemandBlock};
+    }
+
+    /** Reinstate @p cp into a freshly constructed cache of the same
+     *  geometry. */
+    void
+    restore(const Checkpoint &cp)
+    {
+        array.restore(cp.lines);
+        lastDemandBlock = cp.lastDemandBlock;
+    }
 
     /** Counted cache lookup (Fig. 14): presence in cache or buffer. */
     bool lookup(Addr addr);

@@ -158,6 +158,31 @@ Llc::warmTouch(Addr addr, bool is_instruction)
         updateHolderMode(si);
 }
 
+Llc::Checkpoint
+Llc::capture(const std::function<void()> &progress) const
+{
+    Checkpoint cp;
+    cp.lines = array.capture(progress);
+    for (std::size_t i = 0; i < bfSets.size(); ++i) {
+        if (bfSets[i].holder || !bfSets[i].slots.empty())
+            cp.bfSets.emplace_back(static_cast<std::uint32_t>(i), bfSets[i]);
+    }
+    cp.bfTick = bfTick;
+    cp.stats = statSet.all();
+    return cp;
+}
+
+void
+Llc::restore(const Checkpoint &cp)
+{
+    array.restore(cp.lines);
+    for (const auto &[index, bfs] : cp.bfSets)
+        bfSets[index] = bfs;
+    bfTick = cp.bfTick;
+    for (const auto &[name, value] : cp.stats)
+        statSet.add(name, value);
+}
+
 Llc::AccessResult
 Llc::access(Addr addr, Cycle now, bool is_instruction, bool want_bf)
 {

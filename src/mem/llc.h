@@ -21,6 +21,9 @@
 #define DCFB_MEM_LLC_H
 
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -45,6 +48,8 @@ struct LlcConfig
     bool dvllc = false;           //!< enable BF virtualization
     unsigned bfSlotsPerSet = 8;   //!< BF-holder capacity (Fig. 9 sweep)
     unsigned branchesPerBf = 4;   //!< offsets per BF (Fig. 8 sweep)
+
+    bool operator==(const LlcConfig &) const = default;
 };
 
 /** A branch footprint: byte offsets of branches within one block. */
@@ -103,6 +108,21 @@ class Llc
      */
     void warmTouch(Addr addr, bool is_instruction);
 
+    /**
+     * Functional-warmup checkpoint: the touched lines, the DV-LLC
+     * footprint sets the pass populated, and the statistics it interned
+     * (a RunResult lists every interned key, zero or not).
+     */
+    struct Checkpoint;
+
+    /** Copy out everything warmTouch()/recordBranchOffset() mutate;
+     *  @p progress is SetAssocCache::capture's liveness hook. */
+    Checkpoint capture(const std::function<void()> &progress = {}) const;
+
+    /** Reinstate @p cp into a freshly constructed LLC of the same
+     *  configuration. */
+    void restore(const Checkpoint &cp);
+
     /** True when the block currently resides in the LLC (tests). */
     bool contains(Addr addr) const { return array.contains(addr); }
 
@@ -120,7 +140,11 @@ class Llc
     struct LineMeta
     {
         bool isInstruction = false;
+
+        bool operator==(const LineMeta &) const = default;
     };
+    static_assert(sizeof(SetAssocCache<LineMeta>::Line) == 24,
+                  "an LLC line packs into three words");
 
     /** Per-set DV-LLC state: BF slots keyed by resident block address. */
     struct BfSet
@@ -152,6 +176,14 @@ class Llc
     exec::ArenaVector<BfSet> bfSets;
     std::uint64_t bfTick = 0;
     StatSet statSet;
+};
+
+struct Llc::Checkpoint
+{
+    SetAssocCache<LineMeta>::Checkpoint lines;
+    std::vector<std::pair<std::uint32_t, BfSet>> bfSets; //!< touched only
+    std::uint64_t bfTick = 0;
+    std::map<std::string, std::uint64_t> stats;
 };
 
 } // namespace dcfb::mem

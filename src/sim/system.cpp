@@ -7,6 +7,7 @@
 #include "prefetch/fdip.h"
 #include "prefetch/nextline.h"
 #include "prefetch/sn4l_dis_btb.h"
+#include "sim/warm_cache.h"
 
 namespace dcfb::sim {
 
@@ -148,43 +149,24 @@ System::System(const SystemConfig &config)
 
     // Functional warmup: replay the retired stream into the long-term
     // structures (LLC, L1s, BTB, TAGE) without timing, mirroring the
-    // checkpoint state of the paper's SimFlex methodology.  Branch PCs
-    // are remembered so the BTB-directed engines' structures can be
-    // primed after construction.
+    // checkpoint state of the paper's SimFlex methodology.  Cells that
+    // share an image restore the state from the process-wide checkpoint
+    // cache (the first cell of a key walks and captures it); private
+    // images and presets that prime their own structures walk in place.
+    // Branch PCs are remembered so the Shotgun BTB can be primed after
+    // construction; Boomerang and FDIP prime through btb/bbtb updates
+    // directly.
     std::vector<workload::TraceEntry> warm_branches;
-    // Only Shotgun consumes the collected branches (to prime its split
-    // BTB); Boomerang and FDIP prime through btb/bbtb updates directly.
-    bool collect_warm_branches = cfg.preset == Preset::Shotgun;
-    // The warmup pass can outlast a worker lease on its own, so it
-    // reports liveness at the same cadence the timed windows do.
-    const Cycle hb_interval =
-        cfg.integrity.sweepInterval ? cfg.integrity.sweepInterval : 8192;
-    for (std::uint64_t i = 0; i < cfg.functionalWarmInstrs; ++i) {
-        if (cfg.integrity.heartbeat && i % hb_interval == 0)
-            cfg.integrity.heartbeat();
-        workload::TraceEntry e = walker->next();
-        llc->warmTouch(e.pc, true);
-        l1i->warmInsert(e.pc);
-        if (e.dataAddr != kInvalidAddr) {
-            llc->warmTouch(e.dataAddr, false);
-            l1d->warmInsert(e.dataAddr);
-        }
-        if (e.isBranch()) {
-            if (e.kind == isa::InstrKind::CondBranch) {
-                tage->predict(e.pc);
-                tage->update(e.pc, e.taken);
-            } else {
-                tage->updateHistoryUnconditional(e.pc);
-            }
-            if (e.taken) {
-                btb->update(e.pc, e.target, e.kind);
-                if (microBtb)
-                    microBtb->fill(e.pc, e.target, e.kind);
-            }
-            if (collect_warm_branches)
-                warm_branches.push_back(e);
-        }
-        recordRetiredFootprints(e);
+    if (cfg.program && sharesWarmup(cfg.preset)) {
+        auto warm = WarmCache::global().get(cfg, [this] {
+            functionalWarmup(nullptr);
+            return captureWarmState();
+        });
+        if (!warm.built)
+            restoreWarmState(*warm.state);
+    } else {
+        functionalWarmup(cfg.preset == Preset::Shotgun ? &warm_branches
+                                                       : nullptr);
     }
 
     if (cfg.preset == Preset::Boomerang || cfg.preset == Preset::Shotgun ||
@@ -264,6 +246,66 @@ System::System(const SystemConfig &config)
 
     selectStepFns();
     registerIntegrity();
+}
+
+void
+System::functionalWarmup(std::vector<workload::TraceEntry> *branches)
+{
+    // The warmup pass can outlast a worker lease on its own, so it
+    // reports liveness at the same cadence the timed windows do.
+    const Cycle hb_interval =
+        cfg.integrity.sweepInterval ? cfg.integrity.sweepInterval : 8192;
+    for (std::uint64_t i = 0; i < cfg.functionalWarmInstrs; ++i) {
+        if (cfg.integrity.heartbeat && i % hb_interval == 0)
+            cfg.integrity.heartbeat();
+        workload::TraceEntry e = walker->next();
+        llc->warmTouch(e.pc, true);
+        l1i->warmInsert(e.pc);
+        if (e.dataAddr != kInvalidAddr) {
+            llc->warmTouch(e.dataAddr, false);
+            l1d->warmInsert(e.dataAddr);
+        }
+        if (e.isBranch()) {
+            if (e.kind == isa::InstrKind::CondBranch) {
+                tage->predict(e.pc);
+                tage->update(e.pc, e.taken);
+            } else {
+                tage->updateHistoryUnconditional(e.pc);
+            }
+            if (e.taken) {
+                btb->update(e.pc, e.target, e.kind);
+                if (microBtb)
+                    microBtb->fill(e.pc, e.target, e.kind);
+            }
+            if (branches)
+                branches->push_back(e);
+        }
+        recordRetiredFootprints(e);
+    }
+}
+
+WarmCheckpoint
+System::captureWarmState() const
+{
+    // Scanning the 512 K-line LLC takes milliseconds; it reports
+    // liveness like the walk before it does.
+    return WarmCheckpoint{walker->capture(),
+                          llc->capture(cfg.integrity.heartbeat),
+                          l1i->capture(),
+                          l1d->capture(),
+                          tage->capture(),
+                          btb->capture()};
+}
+
+void
+System::restoreWarmState(const WarmCheckpoint &warm)
+{
+    walker->restore(warm.walker);
+    llc->restore(warm.llc);
+    l1i->restore(warm.l1i);
+    l1d->restore(warm.l1d);
+    tage->restore(warm.tage);
+    btb->restore(warm.btb);
 }
 
 template <typename Pf>

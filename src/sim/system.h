@@ -3,8 +3,8 @@
  * System: one fully-wired simulated node (program + walker + memory
  * hierarchy + frontend + backend + the configured prefetcher/engine).
  *
- * Two mechanics make a cell fast without changing any result
- * (DESIGN.md §14):
+ * Three mechanics make a cell fast without changing any result
+ * (DESIGN.md §10, §14):
  *
  *  - **Preset-specialized stepping.**  step() dispatches through a
  *    member-function pointer bound once at construction to a
@@ -21,6 +21,11 @@
  *    construction (exec/arena.h), so a pool thread's working set is one
  *    contiguous slab.  The arena is declared first, hence destroyed
  *    last — after every component that allocated from it.
+ *
+ *  - **Shared functional warmup.**  A cell whose image is shared
+ *    (cfg.program) restores the warmed LLC/L1/TAGE/BTB/walker state
+ *    from sim::WarmCache when its preset warms only those structures;
+ *    the first cell of a key walks and captures it.
  */
 
 #ifndef DCFB_SIM_SYSTEM_H
@@ -48,6 +53,8 @@
 #include "workload/trace.h"
 
 namespace dcfb::sim {
+
+struct WarmCheckpoint;
 
 /**
  * Owns and wires every component of one simulated node.
@@ -129,6 +136,15 @@ class System
   private:
     /** One step-path entry point (specialized or generic). */
     using StepFn = void (System::*)();
+
+    /** Replay cfg.functionalWarmInstrs retired instructions into the
+     *  long-term structures, appending branches to @p branches when
+     *  non-null (Shotgun's BTB priming). */
+    void functionalWarmup(std::vector<workload::TraceEntry> *branches);
+
+    /** Copy out / reinstate the state functionalWarmup() leaves. */
+    WarmCheckpoint captureWarmState() const;
+    void restoreWarmState(const WarmCheckpoint &warm);
 
     /** Wire the fault injector and register every component invariant. */
     void registerIntegrity();

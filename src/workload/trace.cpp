@@ -42,6 +42,22 @@ TraceWalker::TraceWalker(const Program &program_, std::uint64_t seed)
     stack.push_back(root);
 }
 
+TraceWalker::State
+TraceWalker::capture() const
+{
+    return State{rng, stack, count, stickyCallee, stickyLeft};
+}
+
+void
+TraceWalker::restore(const State &state)
+{
+    rng = state.rng;
+    stack = state.stack;
+    count = state.count;
+    stickyCallee = state.stickyCallee;
+    stickyLeft = state.stickyLeft;
+}
+
 Addr
 TraceWalker::dataAddress(std::uint32_t fn)
 {

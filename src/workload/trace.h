@@ -55,6 +55,15 @@ class TraceWalker
     /** Retired-instruction count so far. */
     std::uint64_t retired() const { return count; }
 
+    /** Everything next() mutates: a walk resumed from a State continues
+     *  the stream exactly (functional-warmup checkpoints). */
+    struct State;
+    State capture() const;
+
+    /** Resume from @p state, captured on a walker over the same
+     *  program. */
+    void restore(const State &state);
+
   private:
     struct Frame
     {
@@ -79,6 +88,15 @@ class TraceWalker
     /** Server request batching: the dispatch loop tends to invoke the
      *  same handler several times in a row (phases), which also makes
      *  the indirect-call target realistically predictable. */
+    std::uint32_t stickyCallee = 0;
+    std::uint32_t stickyLeft = 0;
+};
+
+struct TraceWalker::State
+{
+    Rng rng;
+    std::vector<Frame> stack;
+    std::uint64_t count = 0;
     std::uint32_t stickyCallee = 0;
     std::uint32_t stickyLeft = 0;
 };

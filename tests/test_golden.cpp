@@ -17,12 +17,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 
 #include "golden_cells.h"
 #include "sim/report.h"
+#include "sim/warm_cache.h"
 
 #ifndef DCFB_GOLDEN_DIR
 #error "DCFB_GOLDEN_DIR must point at the committed corpus directory"
@@ -85,6 +88,35 @@ cellName(const ::testing::TestParamInfo<std::size_t> &info)
     for (char c : file.substr(0, file.size() - 5)) // strip ".json"
         out += (c == '-' || c == '.') ? '_' : c;
     return out;
+}
+
+// golden::config() leaves cfg.program null, so the cells above always
+// walk their own warmup.  Here every cell runs twice through shared
+// images, in a shuffled order, so each sharing preset's first run walks
+// and captures the warmup checkpoint and its later runs (and the other
+// presets of its image) restore it; every run must still reproduce the
+// committed bytes.
+TEST(GoldenCorpus, SharedImageCheckpoint)
+{
+    workload::ImageCache images; // fresh images: the first run builds
+    std::vector<std::size_t> order;
+    for (std::size_t i = 0; i < golden::cells().size(); ++i)
+        order.insert(order.end(), {i, i});
+    std::shuffle(order.begin(), order.end(), std::mt19937(20200530));
+
+    auto &warm = sim::WarmCache::global();
+    std::size_t hits = warm.hits();
+    for (std::size_t i : order) {
+        const golden::Cell cell = golden::cells()[i];
+        std::string expected = readFile(std::string(DCFB_GOLDEN_DIR) + "/" +
+                                        golden::fileName(cell));
+        sim::SystemConfig cfg = golden::config(cell);
+        cfg.program = images.get(cfg.profile);
+        sim::RunResult result = sim::simulate(cfg, golden::windows());
+        EXPECT_TRUE(sim::toJson(result).dump(2) + "\n" == expected)
+            << golden::fileName(cell) << " diverges through a shared image";
+    }
+    EXPECT_GT(warm.hits(), hits); // the restored path actually ran
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, GoldenCell,
