@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency lint (the CI docs job).
 
-Two checks, both over the committed tree (no build needed):
+Three checks, all over the committed tree (no build needed):
 
 1. Markdown link check: every relative link target in README.md,
    DESIGN.md, EXPERIMENTS.md, ROADMAP.md, CHANGES.md and docs/*.md must
@@ -14,6 +14,13 @@ Two checks, both over the committed tree (no build needed):
    without a registry row -- or a registry row whose string vanished
    from the code -- fails.  (tests/ is excluded: negative-case tests
    mention deliberately-invalid versions.)
+
+3. Binary-name check: every `dcfb-<name>` or `dcfb_<name>` binary named
+   in README.md, DESIGN.md, EXPERIMENTS.md or docs/*.md must be an
+   `add_executable` target in some CMakeLists.txt, so prose cannot keep
+   documenting a tool that was deleted.  Schema strings (`dcfb-*-vN`)
+   are not binaries and are skipped; CHANGES.md and ROADMAP.md keep
+   history and are not checked.
 
 Exit status: 0 clean, 1 with findings listed on stderr.
 """
@@ -36,8 +43,17 @@ DOC_FILES = [
 CODE_DIRS = ["src", "tools", "bench", "scripts"]
 CODE_SUFFIXES = {".h", ".cpp", ".py"}
 
+BINARY_DOC_FILES = [
+    ROOT / "README.md",
+    ROOT / "DESIGN.md",
+    ROOT / "EXPERIMENTS.md",
+    *sorted((ROOT / "docs").glob("*.md")),
+]
+
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 SCHEMA_RE = re.compile(r"dcfb-[a-z]+-v[0-9]+")
+BINARY_RE = re.compile(r"\bdcfb[-_][a-z][a-z0-9_-]*[a-z0-9]")
+TARGET_RE = re.compile(r"add_executable\(\s*([A-Za-z0-9_.+-]+)")
 
 
 def check_links(errors):
@@ -107,17 +123,41 @@ def check_schemas(errors):
         )
 
 
+def executable_targets():
+    targets = set()
+    for cmake in ROOT.rglob("CMakeLists.txt"):
+        targets |= set(TARGET_RE.findall(cmake.read_text(encoding="utf-8")))
+    return targets
+
+
+def check_binaries(errors):
+    targets = executable_targets()
+    for doc in BINARY_DOC_FILES:
+        if not doc.exists():
+            continue
+        for lineno, line in enumerate(
+                doc.read_text(encoding="utf-8").splitlines(), 1):
+            for name in BINARY_RE.findall(line):
+                if SCHEMA_RE.fullmatch(name) or name in targets:
+                    continue
+                errors.append(
+                    f"{doc.relative_to(ROOT)}:{lineno}: binary {name} "
+                    "is not an add_executable target"
+                )
+
+
 def main():
     errors = []
     check_links(errors)
     check_schemas(errors)
+    check_binaries(errors)
     if errors:
         for e in errors:
             print(e, file=sys.stderr)
         print(f"doc_lint: {len(errors)} finding(s)", file=sys.stderr)
         return 1
-    print(f"doc_lint: {len(DOC_FILES)} documents, links and schema "
-          "registry clean")
+    print(f"doc_lint: {len(DOC_FILES)} documents, links, schema "
+          "registry and binary names clean")
     return 0
 
 

@@ -14,7 +14,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -219,18 +218,14 @@ class SetAssocCache
 
     /**
      * Sparse copy of this array (see Checkpoint).  Two passes, count
-     * then copy, so the long-held vector is exactly sized.  @p progress,
-     * when set, runs every 64 K lines: a liveness hook for callers that
-     * must report in while a large array is scanned.
+     * then copy, so the long-held vector is exactly sized.
      */
     Checkpoint
-    capture(const std::function<void()> &progress = {}) const
+    capture() const
     {
         const Line blank{};
         auto each_touched = [&](auto &&visit) {
             for (std::size_t i = 0; i < lines.size(); ++i) {
-                if (progress && i % 65536 == 0)
-                    progress();
                 if (lines[i] != blank)
                     visit(i);
             }

@@ -159,10 +159,10 @@ Llc::warmTouch(Addr addr, bool is_instruction)
 }
 
 Llc::Checkpoint
-Llc::capture(const std::function<void()> &progress) const
+Llc::capture() const
 {
     Checkpoint cp;
-    cp.lines = array.capture(progress);
+    cp.lines = array.capture();
     for (std::size_t i = 0; i < bfSets.size(); ++i) {
         if (bfSets[i].holder || !bfSets[i].slots.empty())
             cp.bfSets.emplace_back(static_cast<std::uint32_t>(i), bfSets[i]);

@@ -21,7 +21,6 @@
 #define DCFB_MEM_LLC_H
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -115,9 +114,8 @@ class Llc
      */
     struct Checkpoint;
 
-    /** Copy out everything warmTouch()/recordBranchOffset() mutate;
-     *  @p progress is SetAssocCache::capture's liveness hook. */
-    Checkpoint capture(const std::function<void()> &progress = {}) const;
+    /** Copy out everything warmTouch()/recordBranchOffset() mutate. */
+    Checkpoint capture() const;
 
     /** Reinstate @p cp into a freshly constructed LLC of the same
      *  configuration. */

@@ -251,13 +251,7 @@ System::System(const SystemConfig &config)
 void
 System::functionalWarmup(std::vector<workload::TraceEntry> *branches)
 {
-    // The warmup pass can outlast a worker lease on its own, so it
-    // reports liveness at the same cadence the timed windows do.
-    const Cycle hb_interval =
-        cfg.integrity.sweepInterval ? cfg.integrity.sweepInterval : 8192;
     for (std::uint64_t i = 0; i < cfg.functionalWarmInstrs; ++i) {
-        if (cfg.integrity.heartbeat && i % hb_interval == 0)
-            cfg.integrity.heartbeat();
         workload::TraceEntry e = walker->next();
         llc->warmTouch(e.pc, true);
         l1i->warmInsert(e.pc);
@@ -287,10 +281,8 @@ System::functionalWarmup(std::vector<workload::TraceEntry> *branches)
 WarmCheckpoint
 System::captureWarmState() const
 {
-    // Scanning the 512 K-line LLC takes milliseconds; it reports
-    // liveness like the walk before it does.
     return WarmCheckpoint{walker->capture(),
-                          llc->capture(cfg.integrity.heartbeat),
+                          llc->capture(),
                           l1i->capture(),
                           l1d->capture(),
                           tage->capture(),

@@ -151,17 +151,6 @@ ResultCache::put(const std::string &key, const obs::JsonValue &fp,
     // on one temp name; last rename wins with identical content.
     std::string tmp =
         path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-    if (inject && inject->truncateWrite()) {
-        // A torn store: half the entry reaches the temp file and the
-        // rename never happens -- exactly the debris a crash mid-put
-        // leaves behind.  Lookups miss (no entry), the next open()
-        // reaps the temp file, and the caller recomputes.
-        std::string text = doc.dump(2);
-        std::ofstream out(tmp, std::ios::out | std::ios::trunc |
-                                   std::ios::binary);
-        out << text.substr(0, text.size() / 2);
-        return {};
-    }
     {
         std::ofstream out(tmp, std::ios::out | std::ios::trunc |
                                    std::ios::binary);

@@ -40,13 +40,12 @@
 #include <string>
 
 #include "rt/error.h"
-#include "rt/faults.h"
 #include "sim/simulator.h"
 #include "svc/fingerprint.h"
 
 namespace dcfb::svc {
 
-/** Counter snapshot for reports and the `stats` service request. */
+/** Counter snapshot for reports. */
 struct ResultCacheStats
 {
     std::uint64_t hits = 0;     //!< lookups served from disk
@@ -95,11 +94,6 @@ class ResultCache
 
     ResultCacheStats stats() const;
 
-    /** Hook the service fault plane into put(): a `truncate` draw tears
-     *  the store short (partial temp file, no rename) so crash-recovery
-     *  paths can be exercised deterministically.  Not owned. */
-    void setInjector(rt::SvcFaultInjector *injector) { inject = injector; }
-
     // -- process-global instance (the `--cache` flag) ---------------------
     /** Open @p dir as the process-wide cache; replaces any prior one. */
     static rt::Expected<void> openGlobal(const std::string &dir);
@@ -114,7 +108,6 @@ class ResultCache
     std::string directory;
     mutable std::mutex mutex;
     ResultCacheStats counters;
-    rt::SvcFaultInjector *inject = nullptr;
 };
 
 /**

@@ -198,8 +198,8 @@ TEST(MemoryProperty, ChannelSerialization)
 /** RunResult JSON round-trip: fromJson(parse(dump(toJson(r)))) == r for
  *  randomized results, including extreme counter values and stat/hist
  *  names that need JSON escaping.  This is the contract the persistent
- *  result cache and the service protocol rely on: a served or cached
- *  result is bit-identical to the simulated one. */
+ *  result cache relies on: a cached result is bit-identical to the
+ *  simulated one. */
 class RunResultRoundTrip : public ::testing::TestWithParam<std::uint64_t>
 {};
 

@@ -1,33 +1,23 @@
 /**
  * @file
- * Experiment-service tests: fingerprint/key stability, result-cache
- * hit/miss/crash-safety behaviour, the `--cache`-off parity and warm
- * -sweep speedup guarantees, protocol parsing, and the daemon itself
- * (admission control, dedup, drain) driven both in-process and over a
- * real Unix-domain socket.
+ * Result-cache tests: fingerprint/key stability, result-cache
+ * hit/miss/crash-safety behaviour, and the `--cache`-off parity and
+ * warm-sweep speedup guarantees.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <set>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "obs/span.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
-#include "svc/client.h"
 #include "svc/fingerprint.h"
-#include "svc/protocol.h"
 #include "svc/result_cache.h"
-#include "svc/server.h"
 #include "workload/profiles.h"
 
 namespace dcfb {
@@ -307,356 +297,6 @@ TEST(SvcResultCache, WarmGridSweepIsTenTimesFasterAndIdentical)
         << "warm sweep took " << warm_s << "s vs cold " << cold_s << "s";
 }
 
-// -- protocol -------------------------------------------------------------
-
-TEST(SvcProtocol, ParsesAFullSubmit)
-{
-    auto req = svc::parseRequest(
-        R"j({"op":"submit","workload":"Web (Apache)","preset":"SN4L",)j"
-        R"("warm":1000,"measure":2000,"seed":7,)"
-        R"("inject":"drop:rate=0.25,seed=9","deadline_ms":5000})");
-    ASSERT_TRUE(req.ok());
-    const svc::SubmitSpec &s = req.value().submit;
-    EXPECT_EQ(req.value().op, svc::Request::Op::Submit);
-    EXPECT_EQ(s.workload, "Web (Apache)");
-    EXPECT_EQ(s.preset, sim::Preset::SN4L);
-    ASSERT_TRUE(s.hasWindows);
-    EXPECT_EQ(s.windows.warm, 1000u);
-    EXPECT_EQ(s.windows.measure, 2000u);
-    ASSERT_TRUE(s.seed.has_value());
-    EXPECT_EQ(*s.seed, 7u);
-    EXPECT_EQ(s.deadlineMs, 5000u);
-    EXPECT_NE(rt::faultPlanSpec(s.faults), "none");
-}
-
-TEST(SvcProtocol, MalformedRequestsAreTypedErrors)
-{
-    const char *bad[] = {
-        "not json at all",
-        "[1,2,3]",
-        R"({"no_op":1})",
-        R"({"op":"frobnicate"})",
-        R"({"op":"submit","preset":"SN4L"})",
-        R"({"op":"submit","workload":"No Such Workload","preset":"SN4L"})",
-        R"j({"op":"submit","workload":"Web (Apache)","preset":"Nope"})j",
-        R"j({"op":"submit","workload":"Web (Apache)","preset":"SN4L",)j"
-        R"("warm":100})",
-        R"j({"op":"submit","workload":"Web (Apache)","preset":"SN4L",)j"
-        R"("warm":100,"measure":0})",
-        R"j({"op":"submit","workload":"Web (Apache)","preset":"SN4L",)j"
-        R"("inject":"bogus-spec"})",
-        R"({"op":"status"})",
-    };
-    for (const char *line : bad) {
-        auto req = svc::parseRequest(line);
-        EXPECT_FALSE(req.ok()) << "should reject: " << line;
-        if (!req.ok())
-            EXPECT_FALSE(req.error().message.empty());
-    }
-}
-
-TEST(SvcProtocol, ErrorReplyShape)
-{
-    obs::JsonValue reply = svc::errorReply("queue_full", "try later");
-    EXPECT_EQ(reply.find("ok")->asBool(), false);
-    EXPECT_EQ(reply.find("error")->asString(), "queue_full");
-    EXPECT_EQ(reply.find("schema")->asString(), svc::kProtocolSchema);
-}
-
-TEST(SvcProtocol, ParsesMetricsOpAndSpanStitchingIds)
-{
-    auto metrics = svc::parseRequest(R"({"op":"metrics"})");
-    ASSERT_TRUE(metrics.ok());
-    EXPECT_EQ(metrics.value().op, svc::Request::Op::Metrics);
-    EXPECT_EQ(metrics.value().traceId, 0u);
-
-    // trace_id / parent_span ride on any op.
-    auto ping = svc::parseRequest(
-        R"({"op":"ping","trace_id":123,"parent_span":456})");
-    ASSERT_TRUE(ping.ok());
-    EXPECT_EQ(ping.value().traceId, 123u);
-    EXPECT_EQ(ping.value().parentSpan, 456u);
-
-    auto bad = svc::parseRequest(R"({"op":"ping","trace_id":"nope"})");
-    EXPECT_FALSE(bad.ok());
-
-    // Every op has a wire name and the count covers the enum.
-    EXPECT_STREQ(svc::opName(svc::Request::Op::Metrics), "metrics");
-    EXPECT_EQ(svc::kOpCount, 8u);
-}
-
-// -- server ---------------------------------------------------------------
-
-std::uint64_t
-counterOf(const obs::JsonValue &stats, const std::string &name)
-{
-    const obs::JsonValue *counters = stats.find("counters");
-    if (!counters)
-        return 0;
-    const obs::JsonValue *c = counters->find(name);
-    return c ? c->asUint() : 0;
-}
-
-/** Server on a scratch socket with fast tiny jobs. */
-svc::ServerConfig
-testServerConfig(const std::string &tag)
-{
-    svc::ServerConfig config;
-    config.socketPath = scratchDir(tag) + "/dcfb.sock";
-    config.jobs = 1;
-    config.queueCapacity = 8;
-    config.retryAfterMs = 10;
-    config.defaultWindows = tinyWindows();
-    config.configHook = shrink;
-    return config;
-}
-
-std::string
-submitLine(std::uint64_t seed)
-{
-    return R"j({"op":"submit","workload":"Web (Apache)","preset":"SN4L",)j"
-           R"("seed":)" +
-        std::to_string(seed) + "}";
-}
-
-/** Poll status until the job is terminal; returns the last reply. */
-obs::JsonValue
-awaitTerminal(svc::Server &server, const std::string &job)
-{
-    for (int i = 0; i < 2000; ++i) {
-        obs::JsonValue reply = server.handleLine(
-            R"({"op":"status","job":")" + job + R"("})");
-        const obs::JsonValue *state = reply.find("state");
-        if (state && state->asString() != "queued" &&
-            state->asString() != "running")
-            return reply;
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    ADD_FAILURE() << "job " << job << " never reached a terminal state";
-    return obs::JsonValue();
-}
-
-TEST(SvcServer, SubmitRunsFetchMatchesDirectSimulation)
-{
-    svc::Server server(testServerConfig("run"));
-    ASSERT_TRUE(server.start().ok());
-
-    obs::JsonValue reply = server.handleLine(submitLine(11));
-    ASSERT_TRUE(reply.find("ok")->asBool()) << reply.dump();
-    std::string job = reply.find("job")->asString();
-
-    obs::JsonValue status = awaitTerminal(server, job);
-    EXPECT_EQ(status.find("state")->asString(), "done") << status.dump();
-
-    obs::JsonValue fetched = server.handleLine(
-        R"({"op":"fetch","job":")" + job + R"("})");
-    ASSERT_TRUE(fetched.find("ok")->asBool()) << fetched.dump();
-    auto result = sim::runResultFromJson(*fetched.find("result"));
-    ASSERT_TRUE(result.has_value());
-
-    // The served result is exactly what simulating the same spec
-    // directly produces.
-    sim::SystemConfig cfg =
-        sim::makeConfig(workload::serverProfile("Web (Apache)"),
-                        sim::Preset::SN4L);
-    cfg.faults = rt::FaultPlan{};
-    cfg.runSeed = 11;
-    shrink(cfg);
-    EXPECT_EQ(*result, sim::simulate(cfg, tinyWindows()));
-    server.shutdown();
-}
-
-TEST(SvcServer, DuplicateSubmitsAreCachedOrCoalescedNeverResimulated)
-{
-    svc::ServerConfig config = testServerConfig("dedup");
-    config.cacheDir = scratchDir("dedup_cache");
-    svc::Server server(config);
-    ASSERT_TRUE(server.start().ok());
-
-    obs::JsonValue first = server.handleLine(submitLine(21));
-    ASSERT_TRUE(first.find("ok")->asBool());
-    std::string job = first.find("job")->asString();
-
-    // Immediately duplicated while in flight: coalesces onto job 1.
-    obs::JsonValue dup = server.handleLine(submitLine(21));
-    ASSERT_TRUE(dup.find("ok")->asBool()) << dup.dump();
-    const obs::JsonValue *coalesced = dup.find("coalesced");
-    ASSERT_NE(coalesced, nullptr) << dup.dump();
-    EXPECT_TRUE(coalesced->asBool());
-    EXPECT_EQ(dup.find("job")->asString(), job);
-
-    awaitTerminal(server, job);
-
-    // Duplicated after completion: served straight from the cache.
-    obs::JsonValue cached = server.handleLine(submitLine(21));
-    ASSERT_TRUE(cached.find("ok")->asBool()) << cached.dump();
-    const obs::JsonValue *hit = cached.find("cached");
-    ASSERT_NE(hit, nullptr) << cached.dump();
-    EXPECT_TRUE(hit->asBool());
-    EXPECT_EQ(cached.find("state")->asString(), "done");
-
-    obs::JsonValue stats = server.statsSnapshot();
-    EXPECT_EQ(counterOf(stats, "svc.sims_executed"), 1u);
-    EXPECT_EQ(counterOf(stats, "svc.coalesced"), 1u);
-    EXPECT_EQ(counterOf(stats, "svc.cache_hits"), 1u);
-    EXPECT_EQ(counterOf(stats, "svc.submitted"), 3u);
-    server.shutdown();
-}
-
-TEST(SvcServer, OverloadGetsWellFormedBackpressureAndBoundHolds)
-{
-    svc::ServerConfig config = testServerConfig("overload");
-    config.queueCapacity = 1;
-    // Slower jobs so the worker is certainly still busy while the
-    // flood of submits lands.
-    config.defaultWindows = sim::RunWindows{20000, 30000};
-    svc::Server server(config);
-    ASSERT_TRUE(server.start().ok());
-
-    unsigned rejected = 0;
-    std::vector<std::string> admitted;
-    for (std::uint64_t seed = 0; seed < 8; ++seed) {
-        obs::JsonValue reply = server.handleLine(submitLine(100 + seed));
-        if (reply.find("ok")->asBool()) {
-            admitted.push_back(reply.find("job")->asString());
-            continue;
-        }
-        ++rejected;
-        EXPECT_EQ(reply.find("error")->asString(), "queue_full")
-            << reply.dump();
-        ASSERT_NE(reply.find("retry_after_ms"), nullptr);
-        EXPECT_EQ(reply.find("retry_after_ms")->asUint(),
-                  config.retryAfterMs);
-    }
-    // worker + pool buffer + dispatcher-held + 1 queued = at most 4
-    // absorbed; the rest must have been rejected, not dropped or hung.
-    EXPECT_GE(rejected, 4u);
-    EXPECT_GE(admitted.size(), 1u);
-
-    server.requestDrain();
-    server.awaitDrained();
-    for (const auto &job : admitted) {
-        obs::JsonValue status = server.handleLine(
-            R"({"op":"status","job":")" + job + R"("})");
-        EXPECT_EQ(status.find("state")->asString(), "done");
-    }
-    obs::JsonValue stats = server.statsSnapshot();
-    EXPECT_EQ(counterOf(stats, "svc.invariant_violations"), 0u);
-    EXPECT_EQ(counterOf(stats, "svc.rejected_full"), rejected);
-    EXPECT_LE(stats.find("queue_peak")->asUint(), config.queueCapacity);
-    server.shutdown();
-}
-
-TEST(SvcServer, DrainRejectsNewWorkAndFinishesAdmitted)
-{
-    svc::Server server(testServerConfig("drain"));
-    ASSERT_TRUE(server.start().ok());
-
-    obs::JsonValue admitted = server.handleLine(submitLine(31));
-    ASSERT_TRUE(admitted.find("ok")->asBool());
-    std::string job = admitted.find("job")->asString();
-
-    obs::JsonValue drain = server.handleLine(R"({"op":"drain"})");
-    EXPECT_TRUE(drain.find("ok")->asBool());
-    EXPECT_TRUE(server.draining());
-
-    obs::JsonValue rejected = server.handleLine(submitLine(32));
-    EXPECT_FALSE(rejected.find("ok")->asBool());
-    EXPECT_EQ(rejected.find("error")->asString(), "draining");
-
-    server.awaitDrained();
-    obs::JsonValue status = server.handleLine(
-        R"({"op":"status","job":")" + job + R"("})");
-    EXPECT_EQ(status.find("state")->asString(), "done");
-    server.shutdown();
-}
-
-TEST(SvcServer, CancelQueuedJobAndExpireDeadlines)
-{
-    svc::ServerConfig config = testServerConfig("cancel");
-    config.defaultWindows = sim::RunWindows{20000, 30000};
-    svc::Server server(config);
-    ASSERT_TRUE(server.start().ok());
-
-    // Fill the worker and the pool buffer with slow jobs, so the next
-    // submits stay queued long enough to act on.
-    server.handleLine(submitLine(41));
-    server.handleLine(submitLine(42));
-    server.handleLine(submitLine(43));
-
-    obs::JsonValue doomed = server.handleLine(
-        R"j({"op":"submit","workload":"Web (Apache)","preset":"SN4L",)j"
-        R"("seed":44,"deadline_ms":1})");
-    ASSERT_TRUE(doomed.find("ok")->asBool());
-    std::string deadline_job = doomed.find("job")->asString();
-
-    obs::JsonValue queued = server.handleLine(submitLine(45));
-    ASSERT_TRUE(queued.find("ok")->asBool());
-    std::string cancel_job = queued.find("job")->asString();
-
-    obs::JsonValue cancel = server.handleLine(
-        R"({"op":"cancel","job":")" + cancel_job + R"("})");
-    ASSERT_TRUE(cancel.find("ok")->asBool()) << cancel.dump();
-    EXPECT_EQ(cancel.find("state")->asString(), "cancelled");
-
-    obs::JsonValue expired = awaitTerminal(server, deadline_job);
-    EXPECT_EQ(expired.find("state")->asString(), "failed");
-    EXPECT_EQ(expired.find("error")->asString(), "deadline_exceeded")
-        << expired.dump();
-
-    obs::JsonValue fetch = server.handleLine(
-        R"({"op":"fetch","job":")" + cancel_job + R"("})");
-    EXPECT_FALSE(fetch.find("ok")->asBool());
-    EXPECT_EQ(fetch.find("error")->asString(), "cancelled");
-
-    server.requestDrain();
-    server.awaitDrained();
-    obs::JsonValue stats = server.statsSnapshot();
-    EXPECT_EQ(counterOf(stats, "svc.cancelled"), 1u);
-    EXPECT_EQ(counterOf(stats, "svc.deadline_expired"), 1u);
-    // The cancelled and expired jobs were never simulated.
-    EXPECT_EQ(counterOf(stats, "svc.sims_executed"), 3u);
-    server.shutdown();
-}
-
-TEST(SvcServer, GracefulDrainSettlesCoalescedWaitersExactlyOnce)
-{
-    // Satellite of the crash-safety PR: a SIGTERM-style drain while
-    // duplicate submits are coalesced onto one in-flight job must hand
-    // every waiter a terminal reply and count the work exactly once.
-    svc::ServerConfig config = testServerConfig("drain_coalesce");
-    config.defaultWindows = sim::RunWindows{20000, 30000};
-    svc::Server server(config);
-    ASSERT_TRUE(server.start().ok());
-
-    obs::JsonValue first = server.handleLine(submitLine(91));
-    ASSERT_TRUE(first.find("ok")->asBool()) << first.dump();
-    std::string job = first.find("job")->asString();
-    // Two more clients pile onto the same fingerprint while it runs.
-    for (int dup = 0; dup < 2; ++dup) {
-        obs::JsonValue reply = server.handleLine(submitLine(91));
-        ASSERT_TRUE(reply.find("ok")->asBool()) << reply.dump();
-        EXPECT_EQ(reply.find("job")->asString(), job);
-    }
-
-    server.requestDrain(); // what SIGTERM triggers in dcfb-serve
-    server.awaitDrained();
-
-    obs::JsonValue status = server.handleLine(
-        R"({"op":"status","job":")" + job + R"("})");
-    EXPECT_EQ(status.find("state")->asString(), "done");
-    obs::JsonValue fetched = server.handleLine(
-        R"({"op":"fetch","job":")" + job + R"("})");
-    EXPECT_TRUE(fetched.find("ok")->asBool()) << fetched.dump();
-
-    obs::JsonValue stats = server.statsSnapshot();
-    EXPECT_EQ(counterOf(stats, "svc.submitted"), 3u);
-    EXPECT_EQ(counterOf(stats, "svc.coalesced"), 2u);
-    EXPECT_EQ(counterOf(stats, "svc.sims_executed"), 1u);
-    EXPECT_EQ(counterOf(stats, "svc.completed"), 1u);
-    server.shutdown();
-}
-
 TEST(SvcResultCache, StrayTempFilesAreReapedAtOpen)
 {
     std::string dir = scratchDir("reap");
@@ -674,225 +314,6 @@ TEST(SvcResultCache, StrayTempFilesAreReapedAtOpen)
     EXPECT_FALSE(std::ifstream(dir + "/bbbb.json.tmp.102").is_open());
     EXPECT_TRUE(std::ifstream(dir + "/cccc.json").is_open());
     EXPECT_TRUE(std::ifstream(dir + "/README").is_open());
-}
-
-TEST(SvcServer, MalformedLinesAreCountedNotFatal)
-{
-    svc::Server server(testServerConfig("badreq"));
-    ASSERT_TRUE(server.start().ok());
-    obs::JsonValue reply = server.handleLine("this is not a request");
-    EXPECT_FALSE(reply.find("ok")->asBool());
-    EXPECT_EQ(reply.find("error")->asString(), "bad_request");
-    reply = server.handleLine(R"({"op":"submit","workload":"?"})");
-    EXPECT_FALSE(reply.find("ok")->asBool());
-    obs::JsonValue stats = server.statsSnapshot();
-    EXPECT_EQ(counterOf(stats, "svc.bad_requests"), 2u);
-    server.shutdown();
-}
-
-TEST(SvcServer, EndToEndOverTheSocket)
-{
-    svc::ServerConfig config = testServerConfig("socket");
-    config.cacheDir = scratchDir("socket_cache");
-    svc::Server server(config);
-    ASSERT_TRUE(server.start().ok());
-
-    svc::Client client;
-    ASSERT_TRUE(client.connect(config.socketPath).ok());
-
-    obs::JsonValue ping = obs::JsonValue::object();
-    ping["op"] = "ping";
-    auto pong = client.request(ping);
-    ASSERT_TRUE(pong.ok());
-    EXPECT_TRUE(pong.value().find("ok")->asBool());
-
-    obs::JsonValue submit = obs::JsonValue::object();
-    submit["op"] = "submit";
-    submit["workload"] = "Web (Apache)";
-    submit["preset"] = "SN4L";
-    submit["seed"] = std::uint64_t{51};
-    auto fetched = client.submitAndWait(submit);
-    ASSERT_TRUE(fetched.ok()) << fetched.error().render();
-    ASSERT_NE(fetched.value().find("result"), nullptr)
-        << fetched.value().dump();
-    auto result = sim::runResultFromJson(*fetched.value().find("result"));
-    ASSERT_TRUE(result.has_value());
-    EXPECT_GT(result->cycles, 0u);
-
-    // A second client sees the duplicate as a cache hit.
-    svc::Client other;
-    ASSERT_TRUE(other.connect(config.socketPath).ok());
-    auto dup = other.request(submit);
-    ASSERT_TRUE(dup.ok());
-    const obs::JsonValue *cached = dup.value().find("cached");
-    ASSERT_NE(cached, nullptr) << dup.value().dump();
-    EXPECT_TRUE(cached->asBool());
-
-    obs::JsonValue statsReq = obs::JsonValue::object();
-    statsReq["op"] = "stats";
-    auto stats = client.request(statsReq);
-    ASSERT_TRUE(stats.ok());
-    EXPECT_EQ(counterOf(stats.value(), "svc.sims_executed"), 1u);
-    const obs::JsonValue *cache = stats.value().find("cache");
-    ASSERT_NE(cache, nullptr);
-    EXPECT_EQ(cache->find("stores")->asUint(), 1u);
-
-    client.close();
-    other.close();
-    server.shutdown();
-}
-
-TEST(SvcServer, MetricsOpServesPrometheusExposition)
-{
-    svc::ServerConfig config = testServerConfig("metrics");
-    config.cacheDir = scratchDir("metrics_cache");
-    svc::Server server(config);
-    ASSERT_TRUE(server.start().ok());
-
-    obs::JsonValue reply = server.handleLine(submitLine(61));
-    ASSERT_TRUE(reply.find("ok")->asBool()) << reply.dump();
-    awaitTerminal(server, reply.find("job")->asString());
-
-    obs::JsonValue metrics = server.handleLine(R"({"op":"metrics"})");
-    ASSERT_TRUE(metrics.find("ok")->asBool()) << metrics.dump();
-    EXPECT_EQ(metrics.find("op")->asString(), "metrics");
-    EXPECT_EQ(metrics.find("content_type")->asString(),
-              "text/plain; version=0.0.4");
-    ASSERT_NE(metrics.find("series"), nullptr);
-    EXPECT_EQ(
-        metrics.find("series")->find("names")->items().size(), 5u);
-
-    const std::string &body = metrics.find("body")->asString();
-    // Counters, per-op histograms and derived gauges all render.
-    EXPECT_NE(body.find("# TYPE dcfb_svc_submitted_total counter\n"),
-              std::string::npos);
-    EXPECT_NE(body.find("dcfb_svc_submitted_total 1\n"),
-              std::string::npos);
-    EXPECT_NE(
-        body.find("# TYPE dcfb_svc_op_submit_latency_us histogram\n"),
-        std::string::npos);
-    EXPECT_NE(body.find("dcfb_svc_op_submit_latency_us_count 1\n"),
-              std::string::npos);
-    for (const char *gauge :
-         {"dcfb_queue_depth", "dcfb_jobs_inflight", "dcfb_workers",
-          "dcfb_cache_hit_rate", "dcfb_pool_occupancy",
-          "dcfb_cells_per_second", "dcfb_uptime_seconds"}) {
-        EXPECT_NE(body.find(std::string("# TYPE ") + gauge + " gauge\n"),
-                  std::string::npos)
-            << "missing gauge " << gauge;
-    }
-    // Every sample line's metric name is already exposition-clean.
-    EXPECT_EQ(body.find('('), std::string::npos);
-
-    // After the drain the queue and pool are empty.
-    server.requestDrain();
-    server.awaitDrained();
-    obs::JsonValue after = server.handleLine(R"({"op":"metrics"})");
-    EXPECT_NE(after.find("body")->asString().find(
-                  "dcfb_jobs_inflight 0\n"),
-              std::string::npos);
-    server.shutdown();
-}
-
-TEST(SvcServer, StatsHistogramsCarryCumulativeBuckets)
-{
-    svc::Server server(testServerConfig("buckets"));
-    ASSERT_TRUE(server.start().ok());
-    obs::JsonValue reply = server.handleLine(submitLine(71));
-    ASSERT_TRUE(reply.find("ok")->asBool()) << reply.dump();
-    awaitTerminal(server, reply.find("job")->asString());
-
-    obs::JsonValue stats = server.statsSnapshot();
-    const obs::JsonValue *hists = stats.find("hists");
-    ASSERT_NE(hists, nullptr);
-    const obs::JsonValue *run = hists->find("svc.run_us");
-    ASSERT_NE(run, nullptr);
-    const obs::JsonValue *buckets = run->find("buckets");
-    ASSERT_NE(buckets, nullptr);
-    ASSERT_GT(buckets->items().size(), 0u);
-    std::uint64_t prev = 0;
-    for (const auto &b : buckets->items()) {
-        EXPECT_GE(b.find("count")->asUint(), prev);
-        prev = b.find("count")->asUint();
-    }
-    EXPECT_EQ(prev, run->find("count")->asUint());
-    server.shutdown();
-}
-
-TEST(SvcServer, SpansStitchClientToSimulate)
-{
-    std::string path = ::testing::TempDir() + "dcfb_svc_spans.json";
-    ASSERT_TRUE(obs::Spans::open(path));
-
-    svc::ServerConfig config = testServerConfig("spans");
-    config.cacheDir = scratchDir("spans_cache");
-    {
-        svc::Server server(config);
-        ASSERT_TRUE(server.start().ok());
-
-        // The client span is the trace root; its IDs ride the wire.
-        std::uint64_t root_trace = 0;
-        {
-            obs::SpanScope root("client.submit_wait", "test");
-            root_trace = root.traceId();
-            obs::JsonValue submit = obs::JsonValue::object();
-            submit["op"] = "submit";
-            submit["workload"] = "Web (Apache)";
-            submit["preset"] = "SN4L";
-            submit["seed"] = std::uint64_t{81};
-            submit["trace_id"] = root.traceId();
-            submit["parent_span"] = root.spanId();
-            obs::JsonValue reply = server.handleLine(submit.dump());
-            ASSERT_TRUE(reply.find("ok")->asBool()) << reply.dump();
-            // The daemon echoes the trace id back.
-            ASSERT_NE(reply.find("trace_id"), nullptr);
-            EXPECT_EQ(reply.find("trace_id")->asUint(), root.traceId());
-            awaitTerminal(server, reply.find("job")->asString());
-        }
-        ASSERT_NE(root_trace, 0u);
-        server.shutdown();
-
-        obs::Spans::close();
-        ASSERT_FALSE(obs::Spans::enabled());
-
-        std::ifstream in(path);
-        ASSERT_TRUE(in.is_open());
-        std::stringstream buf;
-        buf << in.rdbuf();
-        auto doc = obs::JsonValue::parse(buf.str());
-        ASSERT_TRUE(doc.has_value());
-        ASSERT_EQ(doc->kind(), obs::JsonValue::Kind::Array);
-
-        // Collect the "X" spans: every parent must resolve (no
-        // orphans) and the whole submit -> queue -> run -> simulate
-        // chain must share the client's trace id.
-        char want[24];
-        std::snprintf(want, sizeof(want), "0x%llx",
-                      static_cast<unsigned long long>(root_trace));
-        std::set<std::string> span_ids;
-        std::set<std::string> chain_names;
-        std::vector<std::string> parent_refs;
-        for (const auto &ev : doc->items()) {
-            if (ev.find("ph")->asString() != "X")
-                continue;
-            const obs::JsonValue *args = ev.find("args");
-            span_ids.insert(args->find("span")->asString());
-            if (const obs::JsonValue *p = args->find("parent"))
-                parent_refs.push_back(p->asString());
-            if (args->find("trace")->asString() == want)
-                chain_names.insert(ev.find("name")->asString());
-        }
-        for (const std::string &parent : parent_refs)
-            EXPECT_TRUE(span_ids.count(parent))
-                << "orphaned parent " << parent;
-        for (const char *name :
-             {"client.submit_wait", "svc.submit", "svc.queue_wait",
-              "svc.run", "sim.simulate", "sim.measure"}) {
-            EXPECT_TRUE(chain_names.count(name))
-                << "span " << name << " missing from trace " << want;
-        }
-    }
-    std::remove(path.c_str());
 }
 
 } // namespace
