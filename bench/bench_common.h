@@ -37,10 +37,6 @@
  *                   emit the records as the JSON document's "prof"
  *                   section.  Simulated results are unchanged; see
  *                   DESIGN.md section 10 for the overhead model.
- *   --generic-step  force the generic (virtual-dispatch) System::step
- *                   path instead of the preset-specialized one; the
- *                   two are bit-identical (DESIGN.md section 14), this
- *                   is a debugging escape hatch.
  *
  * The authoritative flag reference is docs/FLAGS.md, generated from
  * src/cli/flag_docs.cpp (which also feeds --help below).
@@ -233,9 +229,6 @@ class Harness
                 obs::Profiler::setEnabled(true);
                 profileEnabled = true;
                 std::printf("  [profiling enabled]\n");
-            } else if (arg == "--generic-step") {
-                sim::setDefaultGenericStep(true);
-                std::printf("  [generic step path]\n");
             } else if (arg.rfind("--jobs", 0) == 0) {
                 std::string spec = value("--jobs");
                 if (spec == "auto") {

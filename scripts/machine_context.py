@@ -1,12 +1,8 @@
-"""Machine context shared by perf_baseline.py and update_golden.py.
+"""Machine context for benchmark reports.
 
-Absolute simulator throughput is machine-sensitive, so every
-dcfb-perf-v1 document records where it was measured: CPU model, core
-count and the cpufreq governor.  perf_baseline.py stamps this into the
-report's meta section; update_golden.py refuses to re-baseline when the
-current machine does not match the committed context (without --force),
-so a laptop run cannot silently replace numbers measured on the
-reference runner.
+Absolute simulator throughput is machine-sensitive, so a benchmark
+report records where it was measured: CPU model, core count and the
+cpufreq governor.  perfbench/run.py stamps collect() into its report.
 """
 
 import os
@@ -34,24 +30,9 @@ def governor():
 
 
 def collect():
-    """The machine-context dict recorded in dcfb-perf-v1 meta."""
+    """The machine-context dict recorded in a benchmark report."""
     return {
         "cpu_model": cpu_model(),
         "cores": os.cpu_count() or 0,
         "governor": governor(),
     }
-
-
-def diff(recorded, current=None):
-    """List of human-readable mismatches between two contexts."""
-    if not recorded:
-        return []
-    if current is None:
-        current = collect()
-    mismatches = []
-    for key in ("cpu_model", "cores", "governor"):
-        want, have = recorded.get(key), current.get(key)
-        if want is not None and want != have:
-            mismatches.append(f"{key}: recorded {want!r}, this machine "
-                              f"{have!r}")
-    return mismatches

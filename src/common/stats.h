@@ -6,12 +6,11 @@
  * or computes derived metrics (FSCR, CMAL, coverage).  Counters are plain
  * uint64 accumulators; ratios are computed at reporting time.
  *
- * Two access styles:
- *  - **Typed handles** (hot paths): register once with counter() /
- *    histogram() and bump the returned obs::Counter / obs::Histogram --
- *    no per-event string hashing.
- *  - **String adds** (cold paths): add(name) interns on first use; fine
- *    for redirects, overflows and other rare events.
+ * Two handle types, both bumped without per-event string hashing:
+ *  - **obs::Counter / obs::Histogram** from counter() / histogram():
+ *    registered at once, so the key reports even if it never fires.
+ *  - **obs::LazyCounter** from lazy(): the key is interned on its first
+ *    add, so a counter that never fires never reports.
  */
 
 #ifndef DCFB_COMMON_STATS_H
@@ -50,21 +49,15 @@ class StatSet
 
     /**
      * A lazily-binding counter handle for @p name: interns the name on
-     * the first add, exactly like the string add() below, but every
-     * later bump is a single pointer-indirect add.  @p name must be a
-     * string literal (the handle keeps the pointer).
+     * the first add (even an add of 0); every later bump is a single
+     * pointer-indirect add.  @p name must be a string literal (the
+     * handle keeps the pointer), and the handle points into this set,
+     * so its owner must not be copied or moved once handles exist.
      */
     obs::LazyCounter
     lazy(const char *name)
     {
         return registry.lazyCounter(name);
-    }
-
-    /** Add @p delta to counter @p name (creating it at zero if new). */
-    void
-    add(std::string_view name, std::uint64_t delta = 1)
-    {
-        registry.add(name, delta);
     }
 
     /** Read counter @p name; absent counters read as zero. */

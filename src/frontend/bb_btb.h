@@ -43,12 +43,12 @@ class BbBtb
     const BbBtbEntry *
     lookup(Addr bb_start)
     {
-        statSet.add("bbbtb_lookups");
+        cLookups.add();
         if (auto *line = array.lookup(key(bb_start))) {
-            statSet.add("bbbtb_hits");
+            cHits.add();
             return &line->meta;
         }
-        statSet.add("bbbtb_misses");
+        cMisses.add();
         return nullptr;
     }
 
@@ -76,6 +76,10 @@ class BbBtb
 
     mem::SetAssocCache<BbBtbEntry> array;
     StatSet statSet;
+    // Keys appear on first add (see obs::LazyCounter).
+    obs::LazyCounter cLookups = statSet.lazy("bbbtb_lookups");
+    obs::LazyCounter cHits = statSet.lazy("bbbtb_hits");
+    obs::LazyCounter cMisses = statSet.lazy("bbbtb_misses");
 };
 
 } // namespace dcfb::frontend

@@ -81,15 +81,15 @@ class ShotgunBtb
     UBtbEntry *
     lookupU(Addr pc)
     {
-        statSet.add("ubtb_lookups");
+        cUbtbLookups.add();
         if (auto *line = ubtb.lookup(key(pc))) {
-            statSet.add("ubtb_hits");
+            cUbtbHits.add();
             if (!line->meta.callFpValid)
-                statSet.add("ubtb_footprint_misses");
+                cUbtbFpMisses.add();
             return &line->meta;
         }
-        statSet.add("ubtb_misses");
-        statSet.add("ubtb_footprint_misses");
+        cUbtbMisses.add();
+        cUbtbFpMisses.add();
         return nullptr;
     }
 
@@ -97,12 +97,12 @@ class ShotgunBtb
     const CBtbEntry *
     lookupC(Addr pc)
     {
-        statSet.add("cbtb_lookups");
+        cCbtbLookups.add();
         if (auto *line = cbtb.lookup(key(pc))) {
-            statSet.add("cbtb_hits");
+            cCbtbHits.add();
             return &line->meta;
         }
-        statSet.add("cbtb_misses");
+        cCbtbMisses.add();
         return nullptr;
     }
 
@@ -110,12 +110,12 @@ class ShotgunBtb
     bool
     lookupRib(Addr pc)
     {
-        statSet.add("rib_lookups");
+        cRibLookups.add();
         if (rib.lookup(key(pc))) {
-            statSet.add("rib_hits");
+            cRibHits.add();
             return true;
         }
-        statSet.add("rib_misses");
+        cRibMisses.add();
         return false;
     }
 
@@ -136,7 +136,7 @@ class ShotgunBtb
         fresh.target = target;
         fresh.kind = kind;
         if (from_prefill)
-            statSet.add("ubtb_prefill_installs");
+            cUbtbPrefills.add();
         ubtb.insert(key(pc), fresh);
         return ubtb.lookup(key(pc))->meta;
     }
@@ -183,6 +183,18 @@ class ShotgunBtb
     mem::SetAssocCache<CBtbEntry> cbtb;
     mem::SetAssocCache<RibEntry> rib;
     StatSet statSet;
+    // Keys appear on first add (see obs::LazyCounter).
+    obs::LazyCounter cUbtbLookups = statSet.lazy("ubtb_lookups");
+    obs::LazyCounter cUbtbHits = statSet.lazy("ubtb_hits");
+    obs::LazyCounter cUbtbFpMisses = statSet.lazy("ubtb_footprint_misses");
+    obs::LazyCounter cUbtbMisses = statSet.lazy("ubtb_misses");
+    obs::LazyCounter cCbtbLookups = statSet.lazy("cbtb_lookups");
+    obs::LazyCounter cCbtbHits = statSet.lazy("cbtb_hits");
+    obs::LazyCounter cCbtbMisses = statSet.lazy("cbtb_misses");
+    obs::LazyCounter cRibLookups = statSet.lazy("rib_lookups");
+    obs::LazyCounter cRibHits = statSet.lazy("rib_hits");
+    obs::LazyCounter cRibMisses = statSet.lazy("rib_misses");
+    obs::LazyCounter cUbtbPrefills = statSet.lazy("ubtb_prefill_installs");
 };
 
 } // namespace dcfb::frontend

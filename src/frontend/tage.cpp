@@ -242,7 +242,7 @@ Tage::restore(const Checkpoint &cp)
     allocSeed = cp.allocSeed;
     last = cp.last;
     for (const auto &[name, value] : cp.stats)
-        statSet.add(name, value);
+        statSet.counter(name).add(value);
 }
 
 } // namespace dcfb::frontend

@@ -174,6 +174,27 @@ class Llc
     exec::ArenaVector<BfSet> bfSets;
     std::uint64_t bfTick = 0;
     StatSet statSet;
+    // Keys appear on first add (see obs::LazyCounter).
+    obs::LazyCounter cDisplaced = statSet.lazy("dvllc_blocks_displaced");
+    obs::LazyCounter cHolderOn = statSet.lazy("dvllc_holder_activations");
+    obs::LazyCounter cHolderOff = statSet.lazy("dvllc_holder_deactivations");
+    obs::LazyCounter cBfReplacements = statSet.lazy("dvllc_bf_replacements");
+    obs::LazyCounter cBfRecordAttempts = statSet.lazy("bf_record_attempts");
+    obs::LazyCounter cBfRecordNoHolder = statSet.lazy("bf_record_no_holder");
+    obs::LazyCounter cBfUncovered = statSet.lazy("bf_branches_uncovered");
+    obs::LazyCounter cBfBranchesRecorded = statSet.lazy("bf_branches_recorded");
+    obs::LazyCounter cAccesses = statSet.lazy("llc_accesses");
+    obs::LazyCounter cInstrAccesses = statSet.lazy("llc_instr_accesses");
+    obs::LazyCounter cDataAccesses = statSet.lazy("llc_data_accesses");
+    obs::LazyCounter cHits = statSet.lazy("llc_hits");
+    obs::LazyCounter cInstrHits = statSet.lazy("llc_instr_hits");
+    obs::LazyCounter cDataHits = statSet.lazy("llc_data_hits");
+    obs::LazyCounter cMisses = statSet.lazy("llc_misses");
+    obs::LazyCounter cEvictions = statSet.lazy("llc_evictions");
+    obs::LazyCounter cBfFetchAttempts = statSet.lazy("bf_fetch_attempts");
+    obs::LazyCounter cBfFetchHits = statSet.lazy("bf_fetch_hits");
+    obs::LazyCounter cBfFetchUncovered = statSet.lazy("bf_fetch_uncovered");
+    obs::LazyCounter cLatencySum = statSet.lazy("llc_latency_sum");
 };
 
 struct Llc::Checkpoint

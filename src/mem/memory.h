@@ -50,8 +50,8 @@ class MemoryModel
             cfg.channels;
         Cycle start = std::max(now, channelFree[ch]);
         channelFree[ch] = start + cfg.channelBusyPerBlock;
-        statSet.add("mem_accesses");
-        statSet.add("mem_queue_cycles", start - now);
+        cAccesses.add();
+        cQueueCycles.add(start - now);
         return start + cfg.accessLatency;
     }
 
@@ -62,6 +62,9 @@ class MemoryModel
     MemoryConfig cfg;
     std::vector<Cycle> channelFree;
     StatSet statSet;
+    // Keys appear on first add (see obs::LazyCounter).
+    obs::LazyCounter cAccesses = statSet.lazy("mem_accesses");
+    obs::LazyCounter cQueueCycles = statSet.lazy("mem_queue_cycles");
 };
 
 } // namespace dcfb::mem

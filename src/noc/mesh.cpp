@@ -53,8 +53,8 @@ MeshModel::crossLink(std::size_t link, Cycle at, unsigned flits)
     // through after one link cycle (wormhole); the tail's serialization
     // shows up as queueing for the *next* packet on this link.
     linkFree[link] = start + flits * cfg.linkCycles;
-    statSet.add("noc_link_crossings");
-    statSet.add("noc_queue_cycles", start - at);
+    cLinkCrossings.add();
+    cQueueCycles.add(start - at);
     return start + cfg.linkCycles;
 }
 
@@ -62,8 +62,8 @@ Cycle
 MeshModel::traverse(unsigned src, unsigned dst, Cycle now, unsigned flits)
 {
     assert(src < numTiles() && dst < numTiles());
-    statSet.add("noc_packets");
-    statSet.add("noc_flits", flits);
+    cPackets.add();
+    cFlits.add(flits);
 
     unsigned x = src % cfg.dim, y = src / cfg.dim;
     unsigned tx = dst % cfg.dim, ty = dst / cfg.dim;
@@ -85,7 +85,7 @@ MeshModel::traverse(unsigned src, unsigned dst, Cycle now, unsigned flits)
         t = crossLink(linkIndex(tile, dir), t, flits) + cfg.routerCycles;
         y = y < ty ? y + 1 : y - 1;
     }
-    statSet.add("noc_total_latency", t - now);
+    cTotalLatency.add(t - now);
     return t;
 }
 

@@ -73,6 +73,12 @@ class MeshModel
     std::vector<Cycle> linkFree;
     Rng rng;
     StatSet statSet;
+    // Keys appear on first add (see obs::LazyCounter).
+    obs::LazyCounter cLinkCrossings = statSet.lazy("noc_link_crossings");
+    obs::LazyCounter cQueueCycles = statSet.lazy("noc_queue_cycles");
+    obs::LazyCounter cPackets = statSet.lazy("noc_packets");
+    obs::LazyCounter cFlits = statSet.lazy("noc_flits");
+    obs::LazyCounter cTotalLatency = statSet.lazy("noc_total_latency");
 };
 
 } // namespace dcfb::noc

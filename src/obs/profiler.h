@@ -7,8 +7,8 @@
  *  - **Wall-clock split** of every cell into setup (image build +
  *    functional warmup), warm window and measured window.  One
  *    steady_clock pair per window: negligible overhead, always recorded
- *    while profiling is enabled.  This is what `scripts/perf_baseline.py`
- *    turns into cycles/sec per preset (BENCH_perf.json).
+ *    while profiling is enabled.  The benchmark (perfbench/) turns it
+ *    into its set-up / warm / measure layer metrics.
  *
  *  - **Per-phase attribution** of the cycle loop: each System::step()
  *    stage (backend, L1i tick, prefetcher, dispatch, fetch) is timed

@@ -73,12 +73,6 @@ StatRegistry::histogram(std::string_view name)
     return Histogram(&histSlots[it->second]);
 }
 
-void
-StatRegistry::add(std::string_view name, std::uint64_t delta)
-{
-    counterSlots[counterIndex(name)] += delta;
-}
-
 std::uint64_t
 StatRegistry::get(std::string_view name) const
 {

@@ -65,6 +65,7 @@ class Rlu
     std::uint64_t storageBits() const { return ring.size() * 52; }
 
     const StatSet &stats() const { return statSet; }
+    StatSet &stats() { return statSet; }
 
   private:
     bool

@@ -1,23 +1,61 @@
 #include "sim/config.h"
 
+#include <cassert>
+#include <iterator>
+
 namespace dcfb::sim {
 
 namespace {
+
 rt::FaultPlan gDefaultFaultPlan; // inactive unless --inject installs one
-bool gDefaultGenericStep = false; // set by --generic-step
+
+using P = Preset;
+using F = Family;
+constexpr WarmMode kShared = WarmMode::Shared;
+constexpr WarmMode kPrivate = WarmMode::Private;
+constexpr WarmMode kBranches = WarmMode::PrivateBranches;
+
+/** One row per Preset, in enum order.  Adding a preset: append the enum
+ *  value, append its row here, and size its structures in makeConfig()
+ *  if the defaults do not fit (DESIGN.md §14). */
+constexpr PresetRow kPresets[] = {
+    // preset          name                 family      NL warm     uBTB
+    {P::Baseline,      "Baseline",          F::Plain,      0, kShared, false},
+    {P::NL,            "NL",                F::NextLine,   1, kShared, false},
+    {P::N2L,           "N2L",               F::NextLine,   2, kShared, false},
+    {P::N4L,           "N4L",               F::NextLine,   4, kShared, false},
+    {P::N8L,           "N8L",               F::NextLine,   8, kShared, false},
+    {P::N4LPlain,      "N4L(engine)",       F::Sn4lDisBtb, 0, kShared, false},
+    {P::SN4L,          "SN4L",              F::Sn4lDisBtb, 0, kShared, false},
+    {P::DisOnly,       "Dis",               F::Sn4lDisBtb, 0, kShared, false},
+    {P::SN4LDis,       "SN4L+Dis",          F::Sn4lDisBtb, 0, kShared, false},
+    {P::SN4LDisBtb,    "SN4L+Dis+BTB",      F::Sn4lDisBtb, 0, kShared, false},
+    {P::ClassicDis,    "ClassicDis",        F::ClassicDis, 0, kShared, false},
+    // Its 16 K-entry BTB is a geometry no other preset shares.
+    {P::Confluence,    "Confluence",        F::Confluence, 0, kPrivate, false},
+    {P::Boomerang,     "Boomerang",         F::Boomerang,  0, kShared, false},
+    {P::Shotgun,       "Shotgun",           F::Shotgun,    0, kBranches, false},
+    {P::PerfectL1i,    "PerfectL1i",        F::Plain,      0, kShared, false},
+    {P::PerfectL1iBtb, "PerfectL1i+BTBinf", F::Plain,      0, kShared, false},
+    {P::Fdip,          "FDIP",              F::Fdip,       0, kShared, false},
+    // Functional warmup fills the micro BTB too.
+    {P::MicroBtb,      "MicroBTB",          F::Plain,      0, kPrivate, true},
+};
+
+/** Rows are indexed by enum value; MicroBtb is the last value. */
+constexpr bool
+rowsInEnumOrder()
+{
+    std::size_t i = 0;
+    for (const PresetRow &row : kPresets) {
+        if (row.preset != static_cast<Preset>(i++))
+            return false;
+    }
+    return i == static_cast<std::size_t>(P::MicroBtb) + 1;
+}
+static_assert(rowsInEnumOrder());
+
 } // namespace
-
-void
-setDefaultGenericStep(bool generic)
-{
-    gDefaultGenericStep = generic;
-}
-
-bool
-defaultGenericStep()
-{
-    return gDefaultGenericStep;
-}
 
 void
 setDefaultFaultPlan(const rt::FaultPlan &plan)
@@ -31,30 +69,27 @@ defaultFaultPlan()
     return gDefaultFaultPlan;
 }
 
+const PresetRow &
+presetRow(Preset preset)
+{
+    auto index = static_cast<std::size_t>(preset);
+    assert(index < std::size(kPresets));
+    return kPresets[index];
+}
+
+std::vector<Preset>
+allPresets()
+{
+    std::vector<Preset> out;
+    for (const PresetRow &row : kPresets)
+        out.push_back(row.preset);
+    return out;
+}
+
 std::string
 presetName(Preset preset)
 {
-    switch (preset) {
-      case Preset::Baseline: return "Baseline";
-      case Preset::NL: return "NL";
-      case Preset::N2L: return "N2L";
-      case Preset::N4L: return "N4L";
-      case Preset::N8L: return "N8L";
-      case Preset::N4LPlain: return "N4L(engine)";
-      case Preset::SN4L: return "SN4L";
-      case Preset::DisOnly: return "Dis";
-      case Preset::SN4LDis: return "SN4L+Dis";
-      case Preset::SN4LDisBtb: return "SN4L+Dis+BTB";
-      case Preset::ClassicDis: return "ClassicDis";
-      case Preset::Confluence: return "Confluence";
-      case Preset::Boomerang: return "Boomerang";
-      case Preset::Shotgun: return "Shotgun";
-      case Preset::PerfectL1i: return "PerfectL1i";
-      case Preset::PerfectL1iBtb: return "PerfectL1i+BTBinf";
-      case Preset::Fdip: return "FDIP";
-      case Preset::MicroBtb: return "MicroBTB";
-    }
-    return "?";
+    return presetRow(preset).name;
 }
 
 SystemConfig
@@ -64,7 +99,6 @@ makeConfig(const workload::WorkloadProfile &profile, Preset preset)
     cfg.profile = profile;
     cfg.preset = preset;
     cfg.faults = defaultFaultPlan();
-    cfg.genericStep = defaultGenericStep();
 
     switch (preset) {
       case Preset::NL:

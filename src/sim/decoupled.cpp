@@ -18,7 +18,7 @@ constexpr std::size_t kRecStackBound = 64;
 } // namespace
 
 DecoupledFetchEngine::DecoupledFetchEngine(
-    const FetchConfig &config, Kind kind_, workload::TraceWalker &walker_,
+    const FetchConfig &config, Family kind_, workload::TraceWalker &walker_,
     mem::L1iCache &l1i_, frontend::Tage &tage_,
     const isa::Predecoder &predecoder, unsigned boomerang_btb_entries,
     const frontend::ShotgunBtbConfig &shotgun_cfg,
@@ -165,9 +165,9 @@ DecoupledFetchEngine::onFill(Addr block_addr, bool was_prefetch,
     // FDIP deliberately has no such path: its fills feed the prefetcher's
     // own accounting (the Fdip unit is the L1i listener), and BTB misses
     // keep stalling the BPU — that gap is what the comparison measures.
-    if (kind == Kind::Fdip)
+    if (kind == Family::Fdip)
         return;
-    if (kind == Kind::Boomerang)
+    if (kind == Family::Boomerang)
         boomerangPrefill(block_addr);
     else
         prefillFromBlock(block_addr);
@@ -359,10 +359,10 @@ DecoupledFetchEngine::bpuStep(Cycle now)
     wrongPathTarget = kInvalidAddr;
     bool ok;
     switch (kind) {
-      case Kind::Boomerang:
+      case Family::Boomerang:
         ok = boomerangLookup(bb_start, term_idx, now);
         break;
-      case Kind::Shotgun:
+      case Family::Shotgun:
         ok = shotgunLookup(bb_start, term_idx, now);
         break;
       default:
@@ -410,7 +410,7 @@ DecoupledFetchEngine::bpuStep(Cycle now)
     // L1i prefetcher.  Shotgun deliberately does NOT get this path -
     // its instruction prefetching is driven by the U-BTB footprints
     // (Section III), which is exactly why footprint misses hurt it.
-    if (!cfg.perfectL1i && kind == Kind::Boomerang) {
+    if (!cfg.perfectL1i && kind == Family::Boomerang) {
         Addr first = blockAlign(bb_start);
         Addr last = blockAlign(term.pc + term.len - 1);
         for (Addr b = first; b <= last; b += kBlockBytes)
@@ -419,7 +419,7 @@ DecoupledFetchEngine::bpuStep(Cycle now)
     // FDIP routes the same FTQ contents through its candidate queue
     // (bounded, deduplicated, port-limited) instead of prefetching
     // unconditionally — that queue discipline is the design under test.
-    if (!cfg.perfectL1i && kind == Kind::Fdip) {
+    if (!cfg.perfectL1i && kind == Family::Fdip) {
         fdip->onFtqAppend(blockAlign(bb_start),
                           blockAlign(term.pc + term.len - 1), ftq.size());
     }
@@ -445,7 +445,7 @@ DecoupledFetchEngine::bpuStep(Cycle now)
 void
 DecoupledFetchEngine::recordFetched(const TraceEntry &e)
 {
-    if (kind != Kind::Shotgun)
+    if (kind != Family::Shotgun)
         return;
     Addr bn = blockNumber(e.pc);
 

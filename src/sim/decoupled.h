@@ -53,13 +53,12 @@ namespace dcfb::sim {
 class DecoupledFetchEngine final : public FetchEngine, public mem::L1iListener
 {
   public:
-    enum class Kind { Boomerang, Shotgun, Fdip };
-
     /**
-     * @param conv_btb conventional BTB driving the BPU (Kind::Fdip only)
-     * @param fdip     FTQ-append consumer (Kind::Fdip only)
+     * @param kind_    Family::Boomerang, Family::Shotgun or Family::Fdip
+     * @param conv_btb conventional BTB driving the BPU (Family::Fdip only)
+     * @param fdip     FTQ-append consumer (Family::Fdip only)
      */
-    DecoupledFetchEngine(const FetchConfig &config, Kind kind_,
+    DecoupledFetchEngine(const FetchConfig &config, Family kind_,
                          workload::TraceWalker &walker, mem::L1iCache &l1i,
                          frontend::Tage &tage,
                          const isa::Predecoder &predecoder,
@@ -122,7 +121,7 @@ class DecoupledFetchEngine final : public FetchEngine, public mem::L1iListener
     /** Fetch stage: drain the FTQ into the fetch buffer. */
     void fetchStep(Cycle now);
 
-    Kind kind;
+    Family kind;
     workload::TraceWalker &walker;
     mem::L1iCache &l1i;
     frontend::Tage &tage;

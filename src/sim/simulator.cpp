@@ -176,41 +176,9 @@ trySimulate(const SystemConfig &config, const RunWindows &windows)
         obs::Profiler::push(std::move(rec));
     }
 
-    merge(res, "sim", system.simStats);
-    merge(res, "fe", system.fetch->stats());
-    merge(res, "l1i", system.l1i->stats());
-    merge(res, "l1d", system.l1d->stats());
-    merge(res, "llc", system.llc->stats());
-    merge(res, "mem", system.memory->stats());
-    merge(res, "noc", system.mesh->stats());
-    merge(res, "btb", system.btb->stats());
-    merge(res, "tage", system.tage->stats());
-    merge(res, "be", system.backend->stats());
-    if (system.decoupled) {
-        merge(res, "sg", system.decoupled->shotgunBtb().stats());
-        merge(res, "bb", system.decoupled->bbBtb().stats());
-    }
-    if (auto *p = dynamic_cast<prefetch::Sn4lDisBtb *>(
-            system.prefetcher.get())) {
-        merge(res, "pf", p->stats());
-        merge(res, "pf", p->seqTable().stats());
-        merge(res, "pf", p->disTable().stats());
-        merge(res, "pf", p->rlu().stats());
-    }
-    if (auto *p = dynamic_cast<prefetch::ConfluencePrefetcher *>(
-            system.prefetcher.get())) {
-        merge(res, "pf", p->stats());
-    }
-    if (auto *p = dynamic_cast<prefetch::Fdip *>(
-            system.prefetcher.get())) {
-        merge(res, "pf", p->stats());
-    }
-    if (system.microBtb)
-        merge(res, "mbtb", system.microBtb->stats());
-    // Fault counters only exist under --inject, keeping uninjected
-    // reports bit-identical to the pre-integrity format.
-    if (system.injector.active())
-        merge(res, "rt", system.injector.stats());
+    system.forEachStats([&res](const char *prefix, StatSet &stats) {
+        merge(res, prefix, stats);
+    });
     return res;
 }
 

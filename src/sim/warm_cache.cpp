@@ -8,8 +8,7 @@ namespace dcfb::sim {
 bool
 sharesWarmup(Preset preset)
 {
-    return preset != Preset::Confluence && preset != Preset::Shotgun &&
-        preset != Preset::MicroBtb;
+    return presetRow(preset).warm == WarmMode::Shared;
 }
 
 /** One key and its checkpoint.  The key is the image's identity plus

@@ -50,9 +50,8 @@ struct WarmCheckpoint
 
 /**
  * True when @p preset's functional warmup touches only the shared
- * structures.  Confluence (16 K-entry BTB, a geometry no other preset
- * uses), Shotgun (split-BTB priming from the warm branch list) and
- * MicroBTB (micro-BTB fills) warm privately and store nothing.
+ * structures (PresetRow::warm is WarmMode::Shared).  The others warm
+ * privately and store nothing.
  */
 bool sharesWarmup(Preset preset);
 

@@ -34,8 +34,11 @@
 
 namespace dcfb::svc {
 
-/** Cache entry schema / fingerprint version.  Bump on layout change. */
-inline constexpr const char *kCacheSchema = "dcfb-cache-v2";
+/** Cache entry schema / fingerprint version.  Bump on layout change,
+ *  and whenever one fingerprint starts to yield a different RunResult
+ *  (v3: the SeqTable/DisTable/RLU, Confluence and basic-block-BTB stat
+ *  sets are reset at the warm/measure boundary). */
+inline constexpr const char *kCacheSchema = "dcfb-cache-v3";
 
 /** The canonical fingerprint document for one (config, windows) run. */
 obs::JsonValue fingerprint(const sim::SystemConfig &config,

@@ -115,8 +115,7 @@ TEST(Arena, SystemEstimateCoversConstruction)
     auto profile = workload::serverProfile("Web (Apache)");
     profile.numFunctions = 24;
     profile.dataFootprint = 1ull << 20;
-    for (auto preset : {sim::Preset::Baseline, sim::Preset::SN4LDisBtb,
-                        sim::Preset::Confluence, sim::Preset::Shotgun}) {
+    for (auto preset : sim::allPresets()) {
         sim::SystemConfig cfg = sim::makeConfig(profile, preset);
         cfg.functionalWarmInstrs = 0;
         sim::System system(cfg);

@@ -205,17 +205,30 @@ TEST(SatCounter, TakenThreshold)
 TEST(StatSet, AddAndGet)
 {
     StatSet s;
-    s.add("hits");
-    s.add("hits", 4);
+    obs::Counter hits = s.counter("hits");
+    hits.add();
+    hits.add(4);
     EXPECT_EQ(s.get("hits"), 5u);
     EXPECT_EQ(s.get("absent"), 0u);
+}
+
+TEST(StatSet, LazyKeyAppearsOnFirstAdd)
+{
+    StatSet s;
+    obs::LazyCounter quiet = s.lazy("quiet");
+    obs::LazyCounter zero = s.lazy("zero");
+    EXPECT_TRUE(s.all().empty());
+    zero.add(0); // an add of 0 still interns the key
+    EXPECT_EQ(s.all().size(), 1u);
+    EXPECT_EQ(s.all().count("zero"), 1u);
+    EXPECT_EQ(quiet.value(), 0u);
 }
 
 TEST(StatSet, Ratio)
 {
     StatSet s;
-    s.add("hits", 3);
-    s.add("accesses", 4);
+    s.counter("hits").add(3);
+    s.counter("accesses").add(4);
     EXPECT_DOUBLE_EQ(s.ratio("hits", "accesses"), 0.75);
     EXPECT_DOUBLE_EQ(s.ratio("hits", "absent"), 0.0);
 }
@@ -223,18 +236,21 @@ TEST(StatSet, Ratio)
 TEST(StatSet, ResetZeroesEverything)
 {
     StatSet s;
-    s.add("a", 10);
-    s.add("b", 20);
+    s.counter("a").add(10);
+    obs::LazyCounter b = s.lazy("b");
+    b.add(20);
     s.reset();
     EXPECT_EQ(s.get("a"), 0u);
     EXPECT_EQ(s.get("b"), 0u);
     EXPECT_EQ(s.all().size(), 2u); // names survive reset
+    b.add();
+    EXPECT_EQ(s.get("b"), 1u); // a bound handle keeps its slot
 }
 
 TEST(StatSet, DumpContainsNames)
 {
     StatSet s;
-    s.add("cycles", 123);
+    s.lazy("cycles").add(123);
     EXPECT_NE(s.dump().find("cycles = 123"), std::string::npos);
 }
 

@@ -18,20 +18,6 @@
 namespace dcfb::sim {
 namespace {
 
-std::vector<Preset>
-allPresets()
-{
-    return {Preset::Baseline,   Preset::NL,
-            Preset::N2L,        Preset::N4L,
-            Preset::N8L,        Preset::N4LPlain,
-            Preset::SN4L,       Preset::DisOnly,
-            Preset::SN4LDis,    Preset::SN4LDisBtb,
-            Preset::ClassicDis, Preset::Confluence,
-            Preset::Boomerang,  Preset::Shotgun,
-            Preset::PerfectL1i, Preset::PerfectL1iBtb,
-            Preset::Fdip,       Preset::MicroBtb};
-}
-
 /** Small cells so the 18-preset matrix stays cheap. */
 void
 shrink(SystemConfig &cfg)

@@ -256,32 +256,19 @@ fastWarmHook()
     return [](sim::SystemConfig &cfg) { cfg.functionalWarmInstrs = 150000; };
 }
 
-std::vector<sim::Preset>
-allPresets()
-{
-    return {sim::Preset::Baseline,   sim::Preset::NL,
-            sim::Preset::N2L,        sim::Preset::N4L,
-            sim::Preset::N8L,        sim::Preset::N4LPlain,
-            sim::Preset::SN4L,       sim::Preset::DisOnly,
-            sim::Preset::SN4LDis,    sim::Preset::SN4LDisBtb,
-            sim::Preset::ClassicDis, sim::Preset::Confluence,
-            sim::Preset::Boomerang,  sim::Preset::Shotgun,
-            sim::Preset::PerfectL1i, sim::Preset::PerfectL1iBtb,
-            sim::Preset::Fdip,       sim::Preset::MicroBtb};
-}
-
 TEST(ParallelGrid, JobsOneMatchesJobsFourAcrossAllPresets)
 {
     const std::vector<std::string> workloads = {"Web Frontend"};
 
-    sim::ExperimentGrid serial(allPresets(), gridWindows(), fastWarmHook());
+    sim::ExperimentGrid serial(sim::allPresets(), gridWindows(),
+                               fastWarmHook());
     serial.run(workloads, 1);
-    sim::ExperimentGrid parallel(allPresets(), gridWindows(),
+    sim::ExperimentGrid parallel(sim::allPresets(), gridWindows(),
                                  fastWarmHook());
     parallel.run(workloads, 4);
 
     for (const auto &name : workloads) {
-        for (auto preset : allPresets()) {
+        for (auto preset : sim::allPresets()) {
             const auto &a = serial.at(name, preset);
             const auto &b = parallel.at(name, preset);
             // Full structural equality: counters, histograms, identity.
@@ -290,7 +277,7 @@ TEST(ParallelGrid, JobsOneMatchesJobsFourAcrossAllPresets)
     }
     EXPECT_EQ(serial.execReport().jobs, 1u);
     EXPECT_EQ(parallel.execReport().jobs, 4u);
-    EXPECT_EQ(parallel.execReport().cells, allPresets().size());
+    EXPECT_EQ(parallel.execReport().cells, sim::allPresets().size());
 }
 
 TEST(ParallelGrid, GridReusesCachedImagesAcrossRuns)

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
@@ -177,6 +179,23 @@ TEST(Simulator, ProposalReducesFrontendStallsMost)
     EXPECT_GT(fscr(full, baselineRun()), fscr(nl, baselineRun()));
 }
 
+TEST(Simulator, ZeroMeasureWindowCountsNothing)
+{
+    // Every reported stat set is reset at the warm/measure boundary, so
+    // an empty measure window reports nothing the warm window counted.
+    auto program = workload::ImageCache::global().get(testProfile());
+    for (Preset preset : allPresets()) {
+        SystemConfig cfg = makeConfig(testProfile(), preset);
+        cfg.program = program;
+        cfg.functionalWarmInstrs = 40000;
+        RunResult res = simulate(cfg, RunWindows{20000, 0});
+        EXPECT_EQ(res.instructions, 0u) << presetName(preset);
+        for (const auto &[key, value] : res.stats)
+            EXPECT_EQ(value, 0u) << presetName(preset) << ": " << key;
+        EXPECT_TRUE(res.hists.empty()) << presetName(preset);
+    }
+}
+
 TEST(Experiment, GridRunsSubset)
 {
     ExperimentGrid grid({Preset::Baseline, Preset::SN4L},
@@ -205,13 +224,11 @@ TEST(Report, TableRendersAligned)
 
 TEST(Config, PresetNamesUnique)
 {
-    for (int a = 0; a <= static_cast<int>(Preset::PerfectL1iBtb); ++a) {
-        for (int b = a + 1; b <= static_cast<int>(Preset::PerfectL1iBtb);
-             ++b) {
-            EXPECT_NE(presetName(static_cast<Preset>(a)),
-                      presetName(static_cast<Preset>(b)));
-        }
-    }
+    std::set<std::string> names;
+    for (Preset preset : allPresets())
+        EXPECT_TRUE(names.insert(presetName(preset)).second)
+            << presetName(preset);
+    EXPECT_EQ(names.size(), static_cast<std::size_t>(Preset::MicroBtb) + 1);
 }
 
 TEST(Config, VlProfileEnablesDvLlc)

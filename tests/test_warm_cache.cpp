@@ -31,15 +31,6 @@ namespace {
 const std::vector<std::string> kSweepProfiles = {
     "OLTP (DB A)", "Web (Apache)", "Web Frontend"};
 
-std::vector<Preset>
-allPresets()
-{
-    std::vector<Preset> out;
-    for (int p = 0; p <= static_cast<int>(Preset::MicroBtb); ++p)
-        out.push_back(static_cast<Preset>(p));
-    return out;
-}
-
 RunWindows
 shortWindows()
 {
