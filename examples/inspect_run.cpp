@@ -7,6 +7,7 @@
  * Usage: inspect_run [workload] [design]
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -22,12 +23,20 @@ main(int argc, char **argv)
     std::string name = argc > 1 ? argv[1] : "Web (Apache)";
     std::string design = argc > 2 ? argv[2] : "SN4L+Dis+BTB";
 
-    sim::Preset preset = sim::Preset::Baseline;
-    for (int p = 0; p <= static_cast<int>(sim::Preset::PerfectL1iBtb);
-         ++p) {
-        if (sim::presetName(static_cast<sim::Preset>(p)) == design)
-            preset = static_cast<sim::Preset>(p);
+    const auto presets = sim::allPresets();
+    auto found = std::find_if(presets.begin(), presets.end(),
+                              [&](sim::Preset p) {
+                                  return sim::presetName(p) == design;
+                              });
+    if (found == presets.end()) {
+        std::fprintf(stderr, "inspect_run: unknown design '%s'; valid:",
+                     design.c_str());
+        for (sim::Preset p : presets)
+            std::fprintf(stderr, " '%s'", sim::presetName(p).c_str());
+        std::fprintf(stderr, "\n");
+        return 2;
     }
+    sim::Preset preset = *found;
 
     auto profile = workload::serverProfile(name);
     sim::RunWindows windows;

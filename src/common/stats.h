@@ -1,22 +1,23 @@
 /**
  * @file
- * Per-component statistics facade over the typed obs registry.
+ * Per-component statistics: a bag of named counters and histograms.
  *
- * Components register counters by name; the experiment harness dumps them
- * or computes derived metrics (FSCR, CMAL, coverage).  Counters are plain
- * uint64 accumulators; ratios are computed at reporting time.
- *
- * Two handle types, both bumped without per-event string hashing:
- *  - **obs::Counter / obs::Histogram** from counter() / histogram():
- *    registered at once, so the key reports even if it never fires.
- *  - **obs::LazyCounter** from lazy(): the key is interned on its first
- *    add, so a counter that never fires never reports.
+ * Every component owns a StatSet and registers all of its counters and
+ * histograms in its constructor.  Registration interns the name to a
+ * stable slot and hands back an obs::Counter / obs::Histogram handle
+ * (obs/registry.h) that hot paths bump without string hashing.  What a
+ * constructor registers is the component's key schema: a registered
+ * key reports, at zero if it never fired, and nothing else does.  The
+ * experiment harness dumps the sets or derives metrics from them
+ * (FSCR, CMAL, coverage); ratios are computed at reporting time.
  */
 
 #ifndef DCFB_COMMON_STATS_H
 #define DCFB_COMMON_STATS_H
 
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -26,7 +27,10 @@
 namespace dcfb {
 
 /**
- * A bag of named 64-bit counters and log2 histograms.  Dumps and all()
+ * Named 64-bit counters and log2 histograms.  Re-registering a name
+ * returns a handle to the same slot.  Slots live in deques, so handles
+ * stay valid as the set grows; they point into this set, so its owner
+ * must not be copied or moved once handles exist.  Dumps and all()
  * render counters sorted by name (ordering is part of the report
  * contract: stable diffs and stable JSON).
  */
@@ -37,35 +41,17 @@ class StatSet
     obs::Counter
     counter(std::string_view name)
     {
-        return registry.counter(name);
+        return obs::Counter(&counterSlots[counterIndex(name)]);
     }
 
     /** Register (or re-find) a typed log2-histogram handle. */
-    obs::Histogram
-    histogram(std::string_view name)
-    {
-        return registry.histogram(name);
-    }
+    obs::Histogram histogram(std::string_view name);
 
-    /**
-     * A lazily-binding counter handle for @p name: interns the name on
-     * the first add (even an add of 0); every later bump is a single
-     * pointer-indirect add.  @p name must be a string literal (the
-     * handle keeps the pointer), and the handle points into this set,
-     * so its owner must not be copied or moved once handles exist.
-     */
-    obs::LazyCounter
-    lazy(const char *name)
-    {
-        return registry.lazyCounter(name);
-    }
+    /** Slot index of counter @p name (registering it if new). */
+    std::size_t counterIndex(std::string_view name);
 
     /** Read counter @p name; absent counters read as zero. */
-    std::uint64_t
-    get(std::string_view name) const
-    {
-        return registry.get(name);
-    }
+    std::uint64_t get(std::string_view name) const;
 
     /** Ratio of two counters; 0 when the denominator is zero. */
     double
@@ -84,21 +70,16 @@ class StatSet
     std::string dump() const;
 
     /** All counters, sorted by name. */
-    std::map<std::string, std::uint64_t>
-    all() const
-    {
-        return registry.counters();
-    }
+    std::map<std::string, std::uint64_t> all() const;
 
     /** All histograms, sorted by name, as snapshots. */
-    std::map<std::string, obs::HistogramSnapshot>
-    histograms() const
-    {
-        return registry.histograms();
-    }
+    std::map<std::string, obs::HistogramSnapshot> histograms() const;
 
   private:
-    obs::StatRegistry registry;
+    std::deque<std::uint64_t> counterSlots;
+    std::deque<obs::HistData> histSlots;
+    std::map<std::string, std::size_t, std::less<>> counterIds;
+    std::map<std::string, std::size_t, std::less<>> histIds;
 };
 
 } // namespace dcfb

@@ -47,9 +47,8 @@ class Backend
                                                           : 1}),
               exec::ArenaAlloc<Cycle>(arena)),
           robMask(rob.size() - 1),
-          cDispatched(statSet.lazy("dispatched")),
-          cRobFullCycles(statSet.lazy("rob_full_cycles")),
-          cSquashes(statSet.lazy("squashes"))
+          cDispatched(statSet.counter("dispatched")),
+          cRobFullCycles(statSet.counter("rob_full_cycles"))
     {}
 
     /** Can another instruction be dispatched this cycle? */
@@ -103,13 +102,6 @@ class Backend
     std::size_t robOccupancy() const { return robCount; }
     std::uint64_t retired() const { return retiredTotal; }
 
-    /** Squash everything younger than retirement (pipeline flush). */
-    void
-    squash()
-    {
-        cSquashes.add();
-    }
-
     const StatSet &stats() const { return statSet; }
     StatSet &stats() { return statSet; }
     const BackendConfig &config() const { return cfg; }
@@ -126,12 +118,8 @@ class Backend
     unsigned dispatchedThisCycle = 0;
     std::uint64_t retiredTotal = 0;
     StatSet statSet;
-    // Lazily-bound handles preserving key-presence semantics of the
-    // previous string-keyed adds (dispatched fired per instruction --
-    // a string hash on the hottest path in the simulator).
-    obs::LazyCounter cDispatched;
-    obs::LazyCounter cRobFullCycles;
-    obs::LazyCounter cSquashes;
+    obs::Counter cDispatched;
+    obs::Counter cRobFullCycles;
 };
 
 } // namespace dcfb::core

@@ -27,7 +27,7 @@
  *
  * Thread-ownership contract (see DESIGN.md "Execution model"): tasks
  * must not share mutable state with each other; everything a task
- * mutates is owned by that task (per-cell System, StatRegistry,
+ * mutates is owned by that task (per-cell System, StatSets,
  * Watchdog, FaultInjector), and anything shared is immutable
  * (workload::ImageCache programs).
  */

@@ -76,10 +76,9 @@ class BbBtb
 
     mem::SetAssocCache<BbBtbEntry> array;
     StatSet statSet;
-    // Keys appear on first add (see obs::LazyCounter).
-    obs::LazyCounter cLookups = statSet.lazy("bbbtb_lookups");
-    obs::LazyCounter cHits = statSet.lazy("bbbtb_hits");
-    obs::LazyCounter cMisses = statSet.lazy("bbbtb_misses");
+    obs::Counter cLookups = statSet.counter("bbbtb_lookups");
+    obs::Counter cHits = statSet.counter("bbbtb_hits");
+    obs::Counter cMisses = statSet.counter("bbbtb_misses");
 };
 
 } // namespace dcfb::frontend

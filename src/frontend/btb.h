@@ -43,9 +43,9 @@ class Btb
     explicit Btb(unsigned entries = 2048, unsigned assoc = 4,
                  exec::Arena *arena = nullptr)
         : array(entries / assoc, assoc, arena),
-          cLookups(statSet.lazy("btb_lookups")),
-          cHits(statSet.lazy("btb_hits")),
-          cMisses(statSet.lazy("btb_misses"))
+          cLookups(statSet.counter("btb_lookups")),
+          cHits(statSet.counter("btb_hits")),
+          cMisses(statSet.counter("btb_misses"))
     {}
 
     /** Arena bytes an (entries, assoc) geometry wants. */
@@ -110,9 +110,9 @@ class Btb
 
     StatSet statSet;
     mem::SetAssocCache<BtbEntry> array;
-    obs::LazyCounter cLookups;
-    obs::LazyCounter cHits;
-    obs::LazyCounter cMisses;
+    obs::Counter cLookups;
+    obs::Counter cHits;
+    obs::Counter cMisses;
 };
 
 } // namespace dcfb::frontend

@@ -63,13 +63,13 @@ class MicroBtb
         : cfg(config), numSets(config.entries / config.assoc),
           ways(std::size_t{numSets} * config.assoc,
                exec::ArenaAlloc<Way>(arena)),
-          cProbes(statSet.lazy("mbtb_probes")),
-          cHits(statSet.lazy("mbtb_hits")),
-          cMisses(statSet.lazy("mbtb_misses")),
-          cFills(statSet.lazy("mbtb_fills")),
-          cEvicts(statSet.lazy("mbtb_evicts")),
-          cPromotes(statSet.lazy("mbtb_promotes")),
-          cPromoteStallCycles(statSet.lazy("mbtb_promote_stall_cycles"))
+          cProbes(statSet.counter("mbtb_probes")),
+          cHits(statSet.counter("mbtb_hits")),
+          cMisses(statSet.counter("mbtb_misses")),
+          cFills(statSet.counter("mbtb_fills")),
+          cEvicts(statSet.counter("mbtb_evicts")),
+          cPromotes(statSet.counter("mbtb_promotes")),
+          cPromoteStallCycles(statSet.counter("mbtb_promote_stall_cycles"))
     {}
 
     /** Arena bytes the configured geometry wants. */
@@ -192,7 +192,7 @@ class MicroBtb
     std::uint64_t tick = 0;
 
     StatSet statSet;
-    obs::LazyCounter cProbes, cHits, cMisses, cFills, cEvicts, cPromotes,
+    obs::Counter cProbes, cHits, cMisses, cFills, cEvicts, cPromotes,
         cPromoteStallCycles;
 };
 

@@ -183,18 +183,17 @@ class ShotgunBtb
     mem::SetAssocCache<CBtbEntry> cbtb;
     mem::SetAssocCache<RibEntry> rib;
     StatSet statSet;
-    // Keys appear on first add (see obs::LazyCounter).
-    obs::LazyCounter cUbtbLookups = statSet.lazy("ubtb_lookups");
-    obs::LazyCounter cUbtbHits = statSet.lazy("ubtb_hits");
-    obs::LazyCounter cUbtbFpMisses = statSet.lazy("ubtb_footprint_misses");
-    obs::LazyCounter cUbtbMisses = statSet.lazy("ubtb_misses");
-    obs::LazyCounter cCbtbLookups = statSet.lazy("cbtb_lookups");
-    obs::LazyCounter cCbtbHits = statSet.lazy("cbtb_hits");
-    obs::LazyCounter cCbtbMisses = statSet.lazy("cbtb_misses");
-    obs::LazyCounter cRibLookups = statSet.lazy("rib_lookups");
-    obs::LazyCounter cRibHits = statSet.lazy("rib_hits");
-    obs::LazyCounter cRibMisses = statSet.lazy("rib_misses");
-    obs::LazyCounter cUbtbPrefills = statSet.lazy("ubtb_prefill_installs");
+    obs::Counter cUbtbLookups = statSet.counter("ubtb_lookups");
+    obs::Counter cUbtbHits = statSet.counter("ubtb_hits");
+    obs::Counter cUbtbFpMisses = statSet.counter("ubtb_footprint_misses");
+    obs::Counter cUbtbMisses = statSet.counter("ubtb_misses");
+    obs::Counter cCbtbLookups = statSet.counter("cbtb_lookups");
+    obs::Counter cCbtbHits = statSet.counter("cbtb_hits");
+    obs::Counter cCbtbMisses = statSet.counter("cbtb_misses");
+    obs::Counter cRibLookups = statSet.counter("rib_lookups");
+    obs::Counter cRibHits = statSet.counter("rib_hits");
+    obs::Counter cRibMisses = statSet.counter("rib_misses");
+    obs::Counter cUbtbPrefills = statSet.counter("ubtb_prefill_installs");
 };
 
 } // namespace dcfb::frontend

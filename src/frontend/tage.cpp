@@ -11,10 +11,10 @@ Tage::Tage(const TageConfig &config, exec::Arena *arena)
     : cfg(config), base(std::size_t{1} << config.baseEntriesLog2,
                         SatCounter(2, 2), exec::ArenaAlloc<SatCounter>(arena)),
       history(exec::ArenaAlloc<std::uint8_t>(arena)), useAltOnNa(4, 8),
-      cPredictions(statSet.lazy("tage_predictions")),
-      cCorrect(statSet.lazy("tage_correct")),
-      cMispredict(statSet.lazy("tage_mispredict")),
-      cAllocations(statSet.lazy("tage_allocations"))
+      cPredictions(statSet.counter("tage_predictions")),
+      cCorrect(statSet.counter("tage_correct")),
+      cMispredict(statSet.counter("tage_mispredict")),
+      cAllocations(statSet.counter("tage_allocations"))
 {
     assert(cfg.numTables >= 2);
     assert(cfg.numTables <= kMaxTageTables);
@@ -219,7 +219,6 @@ Tage::capture() const
     cp.useAltOnNa = useAltOnNa;
     cp.allocSeed = allocSeed;
     cp.last = last;
-    cp.stats = statSet.all();
     return cp;
 }
 
@@ -241,8 +240,6 @@ Tage::restore(const Checkpoint &cp)
     useAltOnNa = cp.useAltOnNa;
     allocSeed = cp.allocSeed;
     last = cp.last;
-    for (const auto &[name, value] : cp.stats)
-        statSet.counter(name).add(value);
 }
 
 } // namespace dcfb::frontend

@@ -16,8 +16,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "common/sat_counter.h"
@@ -82,8 +80,7 @@ class Tage
 
     /**
      * Functional-warmup checkpoint: every table, the history ring, the
-     * folded histories, the allocation/use-alt state and the statistics
-     * keys predict()/update() interned.
+     * folded histories and the allocation/use-alt state.
      */
     struct Checkpoint;
     Checkpoint capture() const;
@@ -167,10 +164,10 @@ class Tage
     std::uint64_t allocSeed = 0x123456789abcdefull;
     Lookup last;
     StatSet statSet;
-    obs::LazyCounter cPredictions;
-    obs::LazyCounter cCorrect;
-    obs::LazyCounter cMispredict;
-    obs::LazyCounter cAllocations;
+    obs::Counter cPredictions;
+    obs::Counter cCorrect;
+    obs::Counter cMispredict;
+    obs::Counter cAllocations;
 };
 
 struct Tage::Checkpoint
@@ -185,7 +182,6 @@ struct Tage::Checkpoint
     SatCounter useAltOnNa;
     std::uint64_t allocSeed = 0;
     Lookup last;
-    std::map<std::string, std::uint64_t> stats;
 };
 
 } // namespace dcfb::frontend

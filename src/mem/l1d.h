@@ -39,10 +39,10 @@ class L1dCache
         : cfg(config), llc(llc_),
           array(SetAssocCache<Empty>::fromBytes(config.capacityBytes,
                                                 config.assoc, arena)),
-          cAccesses(statSet.lazy("l1d_accesses")),
-          cStores(statSet.lazy("l1d_stores")),
-          cHits(statSet.lazy("l1d_hits")),
-          cMisses(statSet.lazy("l1d_misses"))
+          cAccesses(statSet.counter("l1d_accesses")),
+          cStores(statSet.counter("l1d_stores")),
+          cHits(statSet.counter("l1d_hits")),
+          cMisses(statSet.counter("l1d_misses"))
     {}
 
     /** Arena bytes this configuration's line array wants. */
@@ -103,9 +103,7 @@ class L1dCache
     Llc &llc;
     StatSet statSet;
     SetAssocCache<Empty> array;
-    // Lazily-bound handles preserving the key-presence semantics of the
-    // previous per-access string adds (see obs::LazyCounter).
-    obs::LazyCounter cAccesses, cStores, cHits, cMisses;
+    obs::Counter cAccesses, cStores, cHits, cMisses;
 };
 
 struct L1dCache::Checkpoint

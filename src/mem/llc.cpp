@@ -15,6 +15,19 @@ Llc::Llc(const LlcConfig &config, noc::MeshModel &mesh_, MemoryModel &mem_,
     assert(core_tile < mesh.numTiles());
     assert(cfg.banks <= mesh.numTiles());
     assert(!cfg.dvllc || cfg.assoc >= 2);
+    if (cfg.dvllc) {
+        cDisplaced = statSet.counter("dvllc_blocks_displaced");
+        cHolderOn = statSet.counter("dvllc_holder_activations");
+        cHolderOff = statSet.counter("dvllc_holder_deactivations");
+        cBfReplacements = statSet.counter("dvllc_bf_replacements");
+        cBfRecordAttempts = statSet.counter("bf_record_attempts");
+        cBfRecordNoHolder = statSet.counter("bf_record_no_holder");
+        cBfUncovered = statSet.counter("bf_branches_uncovered");
+        cBfBranchesRecorded = statSet.counter("bf_branches_recorded");
+        cBfFetchAttempts = statSet.counter("bf_fetch_attempts");
+        cBfFetchHits = statSet.counter("bf_fetch_hits");
+        cBfFetchUncovered = statSet.counter("bf_fetch_uncovered");
+    }
 }
 
 unsigned
@@ -168,7 +181,6 @@ Llc::capture() const
             cp.bfSets.emplace_back(static_cast<std::uint32_t>(i), bfSets[i]);
     }
     cp.bfTick = bfTick;
-    cp.stats = statSet.all();
     return cp;
 }
 
@@ -179,8 +191,6 @@ Llc::restore(const Checkpoint &cp)
     for (const auto &[index, bfs] : cp.bfSets)
         bfSets[index] = bfs;
     bfTick = cp.bfTick;
-    for (const auto &[name, value] : cp.stats)
-        statSet.counter(name).add(value);
 }
 
 Llc::AccessResult

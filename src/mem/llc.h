@@ -21,8 +21,6 @@
 #define DCFB_MEM_LLC_H
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -108,9 +106,8 @@ class Llc
     void warmTouch(Addr addr, bool is_instruction);
 
     /**
-     * Functional-warmup checkpoint: the touched lines, the DV-LLC
-     * footprint sets the pass populated, and the statistics it interned
-     * (a RunResult lists every interned key, zero or not).
+     * Functional-warmup checkpoint: the touched lines and the DV-LLC
+     * footprint sets the pass populated.
      */
     struct Checkpoint;
 
@@ -174,27 +171,20 @@ class Llc
     exec::ArenaVector<BfSet> bfSets;
     std::uint64_t bfTick = 0;
     StatSet statSet;
-    // Keys appear on first add (see obs::LazyCounter).
-    obs::LazyCounter cDisplaced = statSet.lazy("dvllc_blocks_displaced");
-    obs::LazyCounter cHolderOn = statSet.lazy("dvllc_holder_activations");
-    obs::LazyCounter cHolderOff = statSet.lazy("dvllc_holder_deactivations");
-    obs::LazyCounter cBfReplacements = statSet.lazy("dvllc_bf_replacements");
-    obs::LazyCounter cBfRecordAttempts = statSet.lazy("bf_record_attempts");
-    obs::LazyCounter cBfRecordNoHolder = statSet.lazy("bf_record_no_holder");
-    obs::LazyCounter cBfUncovered = statSet.lazy("bf_branches_uncovered");
-    obs::LazyCounter cBfBranchesRecorded = statSet.lazy("bf_branches_recorded");
-    obs::LazyCounter cAccesses = statSet.lazy("llc_accesses");
-    obs::LazyCounter cInstrAccesses = statSet.lazy("llc_instr_accesses");
-    obs::LazyCounter cDataAccesses = statSet.lazy("llc_data_accesses");
-    obs::LazyCounter cHits = statSet.lazy("llc_hits");
-    obs::LazyCounter cInstrHits = statSet.lazy("llc_instr_hits");
-    obs::LazyCounter cDataHits = statSet.lazy("llc_data_hits");
-    obs::LazyCounter cMisses = statSet.lazy("llc_misses");
-    obs::LazyCounter cEvictions = statSet.lazy("llc_evictions");
-    obs::LazyCounter cBfFetchAttempts = statSet.lazy("bf_fetch_attempts");
-    obs::LazyCounter cBfFetchHits = statSet.lazy("bf_fetch_hits");
-    obs::LazyCounter cBfFetchUncovered = statSet.lazy("bf_fetch_uncovered");
-    obs::LazyCounter cLatencySum = statSet.lazy("llc_latency_sum");
+    // DV-LLC only: registered in the constructor when cfg.dvllc is set.
+    obs::Counter cDisplaced, cHolderOn, cHolderOff, cBfReplacements,
+        cBfRecordAttempts, cBfRecordNoHolder, cBfUncovered,
+        cBfBranchesRecorded, cBfFetchAttempts, cBfFetchHits,
+        cBfFetchUncovered;
+    obs::Counter cAccesses = statSet.counter("llc_accesses");
+    obs::Counter cInstrAccesses = statSet.counter("llc_instr_accesses");
+    obs::Counter cDataAccesses = statSet.counter("llc_data_accesses");
+    obs::Counter cHits = statSet.counter("llc_hits");
+    obs::Counter cInstrHits = statSet.counter("llc_instr_hits");
+    obs::Counter cDataHits = statSet.counter("llc_data_hits");
+    obs::Counter cMisses = statSet.counter("llc_misses");
+    obs::Counter cEvictions = statSet.counter("llc_evictions");
+    obs::Counter cLatencySum = statSet.counter("llc_latency_sum");
 };
 
 struct Llc::Checkpoint
@@ -202,7 +192,6 @@ struct Llc::Checkpoint
     SetAssocCache<LineMeta>::Checkpoint lines;
     std::vector<std::pair<std::uint32_t, BfSet>> bfSets; //!< touched only
     std::uint64_t bfTick = 0;
-    std::map<std::string, std::uint64_t> stats;
 };
 
 } // namespace dcfb::mem

@@ -62,9 +62,8 @@ class MemoryModel
     MemoryConfig cfg;
     std::vector<Cycle> channelFree;
     StatSet statSet;
-    // Keys appear on first add (see obs::LazyCounter).
-    obs::LazyCounter cAccesses = statSet.lazy("mem_accesses");
-    obs::LazyCounter cQueueCycles = statSet.lazy("mem_queue_cycles");
+    obs::Counter cAccesses = statSet.counter("mem_accesses");
+    obs::Counter cQueueCycles = statSet.counter("mem_queue_cycles");
 };
 
 } // namespace dcfb::mem

@@ -73,12 +73,11 @@ class MeshModel
     std::vector<Cycle> linkFree;
     Rng rng;
     StatSet statSet;
-    // Keys appear on first add (see obs::LazyCounter).
-    obs::LazyCounter cLinkCrossings = statSet.lazy("noc_link_crossings");
-    obs::LazyCounter cQueueCycles = statSet.lazy("noc_queue_cycles");
-    obs::LazyCounter cPackets = statSet.lazy("noc_packets");
-    obs::LazyCounter cFlits = statSet.lazy("noc_flits");
-    obs::LazyCounter cTotalLatency = statSet.lazy("noc_total_latency");
+    obs::Counter cLinkCrossings = statSet.counter("noc_link_crossings");
+    obs::Counter cQueueCycles = statSet.counter("noc_queue_cycles");
+    obs::Counter cPackets = statSet.counter("noc_packets");
+    obs::Counter cFlits = statSet.counter("noc_flits");
+    obs::Counter cTotalLatency = statSet.counter("noc_total_latency");
 };
 
 } // namespace dcfb::noc

@@ -1,5 +1,7 @@
 #include "obs/registry.h"
 
+#include <algorithm>
+
 namespace dcfb::obs {
 
 HistogramSnapshot
@@ -41,70 +43,6 @@ HistogramSnapshot::merge(const HistogramSnapshot &other)
         }
     }
     buckets = std::move(merged);
-}
-
-Counter
-StatRegistry::counter(std::string_view name)
-{
-    return Counter(&counterSlots[counterIndex(name)]);
-}
-
-std::size_t
-StatRegistry::counterIndex(std::string_view name)
-{
-    auto it = counterIds.find(name);
-    if (it != counterIds.end())
-        return it->second;
-    std::size_t id = counterSlots.size();
-    counterSlots.push_back(0);
-    counterIds.emplace(std::string(name), id);
-    return id;
-}
-
-Histogram
-StatRegistry::histogram(std::string_view name)
-{
-    auto it = histIds.find(name);
-    if (it == histIds.end()) {
-        std::size_t id = histSlots.size();
-        histSlots.emplace_back();
-        it = histIds.emplace(std::string(name), id).first;
-    }
-    return Histogram(&histSlots[it->second]);
-}
-
-std::uint64_t
-StatRegistry::get(std::string_view name) const
-{
-    auto it = counterIds.find(name);
-    return it == counterIds.end() ? 0 : counterSlots[it->second];
-}
-
-void
-StatRegistry::reset()
-{
-    for (auto &slot : counterSlots)
-        slot = 0;
-    for (auto &h : histSlots)
-        h.reset();
-}
-
-std::map<std::string, std::uint64_t>
-StatRegistry::counters() const
-{
-    std::map<std::string, std::uint64_t> out;
-    for (const auto &kv : counterIds)
-        out.emplace(kv.first, counterSlots[kv.second]);
-    return out;
-}
-
-std::map<std::string, HistogramSnapshot>
-StatRegistry::histograms() const
-{
-    std::map<std::string, HistogramSnapshot> out;
-    for (const auto &kv : histIds)
-        out.emplace(kv.first, HistogramSnapshot::from(histSlots[kv.second]));
-    return out;
 }
 
 } // namespace dcfb::obs

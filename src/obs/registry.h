@@ -1,12 +1,12 @@
 /**
  * @file
- * Typed statistics registry.
+ * Typed statistics handles.
  *
- * Counters and histograms are registered once, by name, against a
- * StatRegistry; registration interns the name to a stable slot and hands
- * back a trivially-copyable handle.  Hot paths bump the handle -- a
+ * A dcfb::StatSet interns each counter or histogram name to a stable
+ * slot when its component registers it, and hands back one of the
+ * trivially-copyable handles below.  Hot paths bump the handle -- a
  * single pointer-indirect add, no per-event string hashing -- while the
- * registry keeps the name -> slot mapping for reporting.
+ * StatSet keeps the name -> slot mapping for reporting.
  *
  * Histograms are log2-bucketed: bucket 0 holds exactly the value 0 and
  * bucket i (i >= 1) holds [2^(i-1), 2^i - 1].  That gives cheap constant
@@ -14,15 +14,15 @@
  * quantities such as miss latencies, prefetch-to-use distances, proactive
  * chain depths and queue occupancies.
  *
- * Threading model: a StatRegistry and its handles are single-threaded
- * by design -- hot-path bumps must never pay for synchronization.  The
+ * Threading model: a StatSet and its handles are single-threaded by
+ * design -- hot-path bumps must never pay for synchronization.  The
  * parallel experiment runner therefore gives every (workload x design)
- * cell its own registries (one per component, inside that cell's
- * System) and merges the per-cell snapshots into the grid only after
- * the pool barrier; no registry is ever touched by two threads.  The
- * shared discard slots that back *default-constructed* handles are
- * thread_local so a not-yet-registered handle bumped on a worker
- * cannot race another worker's.
+ * cell its own stat sets (one per component, inside that cell's System)
+ * and merges the per-cell snapshots into the grid only after the pool
+ * barrier; no stat set is ever touched by two threads.  The shared
+ * discard slots that back *default-constructed* handles are
+ * thread_local so an unregistered handle bumped on a worker cannot race
+ * another worker's.
  */
 
 #ifndef DCFB_OBS_REGISTRY_H
@@ -31,12 +31,11 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <map>
-#include <string>
-#include <string_view>
 #include <vector>
+
+namespace dcfb {
+class StatSet;
+} // namespace dcfb
 
 namespace dcfb::obs {
 
@@ -70,8 +69,9 @@ histBucketHigh(unsigned i)
 
 /**
  * Typed counter handle.  Trivially copyable; a default-constructed
- * handle accumulates into a shared discard slot so components can hold
- * handles as members before registration.
+ * handle accumulates into a shared discard slot, so a component can
+ * hold a handle it registers only for some mechanisms (and bump it
+ * unconditionally) at no cost to the others' key sets.
  */
 class Counter
 {
@@ -82,46 +82,13 @@ class Counter
     std::uint64_t value() const { return *slot; }
 
   private:
-    friend class StatRegistry;
+    friend class dcfb::StatSet;
     explicit Counter(std::uint64_t *s) : slot(s) {}
 
     // thread_local: unregistered handles on different workers must not
     // share (and race on) one sink slot.
     static inline thread_local std::uint64_t discard = 0;
     std::uint64_t *slot;
-};
-
-class StatRegistry;
-
-/**
- * Lazily-binding counter handle: the name is interned on the *first*
- * add() (an add of 0 included), so a counter that never fires never
- * appears in the registry -- and therefore never appears in a
- * RunResult's stats map.  An eagerly registered Counter would create
- * the name at zero.  Every later add() is the same single
- * pointer-indirect bump a Counter does.
- *
- * The name must outlive the handle (use string literals), and the
- * registry must not move while the handle lives.  A default-constructed
- * handle discards, like Counter.
- */
-class LazyCounter
-{
-  public:
-    LazyCounter() = default;
-    LazyCounter(StatRegistry &registry, const char *name_)
-        : reg(&registry), name(name_)
-    {
-    }
-
-    inline void add(std::uint64_t delta = 1);
-    std::uint64_t value() const { return handle.value(); }
-
-  private:
-    StatRegistry *reg = nullptr;
-    const char *name = "";
-    Counter handle; //!< discards until bound
-    bool bound = false;
 };
 
 /** Raw accumulation state of one histogram. */
@@ -160,7 +127,7 @@ class Histogram
     const HistData &raw() const { return *data; }
 
   private:
-    friend class StatRegistry;
+    friend class dcfb::StatSet;
     explicit Histogram(HistData *d) : data(d) {}
 
     static inline thread_local HistData discard{};
@@ -193,69 +160,6 @@ struct HistogramSnapshot
 
     bool operator==(const HistogramSnapshot &) const = default;
 };
-
-/**
- * The registry: interns names to stable slots and hands out handles.
- * Re-registering a name returns a handle to the same slot, so IDs are
- * stable across components and across calls.
- */
-class StatRegistry
-{
-  public:
-    /** Register (or re-find) counter @p name. */
-    Counter counter(std::string_view name);
-
-    /** Register (or re-find) histogram @p name. */
-    Histogram histogram(std::string_view name);
-
-    /** A counter handle that interns @p name on first add (see
-     *  LazyCounter). */
-    LazyCounter
-    lazyCounter(const char *name)
-    {
-        return LazyCounter(*this, name);
-    }
-
-    /** Slot index of counter @p name (registering it if new).  Exposed
-     *  so tests can assert interning stability. */
-    std::size_t counterIndex(std::string_view name);
-
-    /** Cold-path read; absent counters read as zero. */
-    std::uint64_t get(std::string_view name) const;
-
-    /** Zero every counter and histogram; names and slots survive. */
-    void reset();
-
-    std::size_t counterCount() const { return counterSlots.size(); }
-    std::size_t histogramCount() const { return histSlots.size(); }
-
-    /** All counters, sorted by name. */
-    std::map<std::string, std::uint64_t> counters() const;
-
-    /** All histograms, sorted by name, as snapshots. */
-    std::map<std::string, HistogramSnapshot> histograms() const;
-
-  private:
-    // Deques give stable element addresses across growth.
-    std::deque<std::uint64_t> counterSlots;
-    std::deque<HistData> histSlots;
-    std::map<std::string, std::size_t, std::less<>> counterIds;
-    std::map<std::string, std::size_t, std::less<>> histIds;
-};
-
-inline void
-LazyCounter::add(std::uint64_t delta)
-{
-    if (!bound) [[unlikely]] {
-        if (!reg) {
-            handle.add(delta); // unbound handle: discard, like Counter
-            return;
-        }
-        handle = reg->counter(name);
-        bound = true;
-    }
-    handle.add(delta);
-}
 
 } // namespace dcfb::obs
 

@@ -40,9 +40,9 @@ class ClassicDiscontinuity final : public InstrPrefetcher
                          bool with_nl = true, exec::Arena *arena = nullptr)
         : l1i(l1i_), table(entries_, exec::ArenaAlloc<Entry>(arena)),
           withNl(with_nl),
-          cRecorded(statSet.lazy("cdis_recorded")),
-          cReplayed(statSet.lazy("cdis_replayed")),
-          cIssued(statSet.lazy("cdis_issued"))
+          cRecorded(statSet.counter("cdis_recorded")),
+          cReplayed(statSet.counter("cdis_replayed")),
+          cIssued(statSet.counter("cdis_issued"))
     {}
 
     /** Arena bytes an @p entries_ table wants. */
@@ -53,6 +53,7 @@ class ClassicDiscontinuity final : public InstrPrefetcher
     }
 
     std::string name() const override { return "ClassicDis"; }
+    void forEachStats(const StatSetFn &fn) override { fn(statSet); }
 
     void
     onDemandAccess(Addr block_addr, bool hit) override
@@ -125,9 +126,9 @@ class ClassicDiscontinuity final : public InstrPrefetcher
     Addr pending = 0;
     bool havePending = false;
     StatSet statSet;
-    obs::LazyCounter cRecorded;
-    obs::LazyCounter cReplayed;
-    obs::LazyCounter cIssued;
+    obs::Counter cRecorded;
+    obs::Counter cReplayed;
+    obs::Counter cIssued;
 };
 
 } // namespace dcfb::prefetch

@@ -9,12 +9,12 @@ ConfluencePrefetcher::ConfluencePrefetcher(mem::L1iCache &l1i_,
       history(config.historyEntries, kInvalidAddr,
               exec::ArenaAlloc<Addr>(arena)),
       index(config.indexEntries, exec::ArenaAlloc<IndexEntry>(arena)),
-      cRecorded(statSet.lazy("shift_recorded")),
-      cStreamFollows(statSet.lazy("shift_stream_follows")),
-      cIndexMisses(statSet.lazy("shift_index_misses")),
-      cStreamStarts(statSet.lazy("shift_stream_starts")),
-      cStreamOverwritten(statSet.lazy("shift_stream_overwritten")),
-      cIssued(statSet.lazy("shift_issued"))
+      cRecorded(statSet.counter("shift_recorded")),
+      cStreamFollows(statSet.counter("shift_stream_follows")),
+      cIndexMisses(statSet.counter("shift_index_misses")),
+      cStreamStarts(statSet.counter("shift_stream_starts")),
+      cStreamOverwritten(statSet.counter("shift_stream_overwritten")),
+      cIssued(statSet.counter("shift_issued"))
 {
 }
 

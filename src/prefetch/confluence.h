@@ -85,8 +85,7 @@ class ConfluencePrefetcher final : public InstrPrefetcher
     Cycle pendingTick = 0;
     bool workPending = false;
     StatSet statSet;
-    // Lazily-bound per-event counters (see obs::LazyCounter).
-    obs::LazyCounter cRecorded, cStreamFollows, cIndexMisses, cStreamStarts,
+    obs::Counter cRecorded, cStreamFollows, cIndexMisses, cStreamStarts,
         cStreamOverwritten, cIssued;
 };
 

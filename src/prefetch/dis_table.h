@@ -55,8 +55,8 @@ class DisTable
         : cfg(config),
           table(cfg.entries ? cfg.entries : 0,
                 exec::ArenaAlloc<Entry>(arena)),
-          cRecords(statSet.lazy("distable_records")),
-          cLookups(statSet.lazy("distable_lookups"))
+          cRecords(statSet.counter("distable_records")),
+          cLookups(statSet.counter("distable_lookups"))
     {
         // Table sizes are powers of two (index() masks), so the tag's
         // "bits above the index" divide becomes a shift.
@@ -170,8 +170,8 @@ class DisTable
     std::unordered_map<Addr, std::uint8_t> dedicated;
     std::optional<unsigned> tagShift; //!< set when entries is pow2
     mutable StatSet statSet;
-    mutable obs::LazyCounter cRecords;
-    mutable obs::LazyCounter cLookups;
+    mutable obs::Counter cRecords;
+    mutable obs::Counter cLookups;
 };
 
 } // namespace dcfb::prefetch

@@ -99,16 +99,16 @@ class Fdip final : public InstrPrefetcher
          exec::Arena *arena = nullptr)
         : l1i(l1i_), cfg(config),
           queue(config.queueEntries, config.recentEntries, arena),
-          cEnqueued(statSet.lazy("fdip_enqueued")),
-          cDuplicates(statSet.lazy("fdip_duplicates")),
-          cDropped(statSet.lazy("fdip_dropped")),
-          cAheadSkipped(statSet.lazy("fdip_ahead_skipped")),
-          cIssued(statSet.lazy("fdip_issued")),
-          cInCache(statSet.lazy("fdip_in_cache")),
-          cInFlight(statSet.lazy("fdip_in_flight")),
-          cNoMshr(statSet.lazy("fdip_no_mshr")),
-          cFills(statSet.lazy("fdip_prefetch_fills")),
-          cUseful(statSet.lazy("fdip_useful"))
+          cEnqueued(statSet.counter("fdip_enqueued")),
+          cDuplicates(statSet.counter("fdip_duplicates")),
+          cDropped(statSet.counter("fdip_dropped")),
+          cAheadSkipped(statSet.counter("fdip_ahead_skipped")),
+          cIssued(statSet.counter("fdip_issued")),
+          cInCache(statSet.counter("fdip_in_cache")),
+          cInFlight(statSet.counter("fdip_in_flight")),
+          cNoMshr(statSet.counter("fdip_no_mshr")),
+          cFills(statSet.counter("fdip_prefetch_fills")),
+          cUseful(statSet.counter("fdip_useful"))
     {
         hQueueOcc = statSet.histogram("fdip_queue_occ");
     }
@@ -217,7 +217,7 @@ class Fdip final : public InstrPrefetcher
 
     StatSet statSet;
     obs::Histogram hQueueOcc;
-    obs::LazyCounter cEnqueued, cDuplicates, cDropped, cAheadSkipped,
+    obs::Counter cEnqueued, cDuplicates, cDropped, cAheadSkipped,
         cIssued, cInCache, cInFlight, cNoMshr, cFills, cUseful;
 };
 

@@ -30,8 +30,8 @@ class Rlu
     /** @param entries_ filter size; 0 disables filtering entirely. */
     explicit Rlu(std::size_t entries_ = 8, exec::Arena *arena = nullptr)
         : ring(entries_, kInvalidAddr, exec::ArenaAlloc<Addr>(arena)),
-          cChecks(statSet.lazy("rlu_checks")),
-          cHits(statSet.lazy("rlu_hits"))
+          cChecks(statSet.counter("rlu_checks")),
+          cHits(statSet.counter("rlu_hits"))
     {}
 
     /** Record a lookup of @p block_addr. */
@@ -81,10 +81,8 @@ class Rlu
     exec::ArenaVector<Addr> ring;
     std::size_t head = 0;
     StatSet statSet;
-    // Lazily-bound handles preserving the key-presence semantics of the
-    // previous per-check string adds (see obs::LazyCounter).
-    obs::LazyCounter cChecks;
-    obs::LazyCounter cHits;
+    obs::Counter cChecks;
+    obs::Counter cHits;
 };
 
 } // namespace dcfb::prefetch

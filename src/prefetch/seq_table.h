@@ -40,8 +40,8 @@ class SeqTable
                exec::ArenaAlloc<bool>(arena)),
           owners(entries_ ? entries_ : 0, kInvalidAddr,
                  exec::ArenaAlloc<Addr>(arena)),
-          cConflicts(statSet.lazy("seqtable_conflicts")),
-          cWrites(statSet.lazy("seqtable_writes"))
+          cConflicts(statSet.counter("seqtable_conflicts")),
+          cWrites(statSet.counter("seqtable_writes"))
     {}
 
     /** Arena bytes an @p entries_ table wants (bit table + owners). */
@@ -120,8 +120,8 @@ class SeqTable
     std::unordered_map<Addr, bool> dedicated; //!< unlimited mode
     StatSet statSet;
     exec::ArenaVector<Addr> owners; //!< last writer per entry (stats only)
-    obs::LazyCounter cConflicts;
-    obs::LazyCounter cWrites;
+    obs::Counter cConflicts;
+    obs::Counter cWrites;
 };
 
 } // namespace dcfb::prefetch

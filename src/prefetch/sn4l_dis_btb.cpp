@@ -28,16 +28,16 @@ Sn4lDisBtb::Sn4lDisBtb(mem::L1iCache &l1i_,
     cIssued = statSet.counter("issued");
     hChainDepth = statSet.histogram("chain_depth");
     hRluQueueOcc = statSet.histogram("rluq_occ");
-    cSeqOverflow = statSet.lazy("seqqueue_overflow");
-    cDisOverflow = statSet.lazy("disqueue_overflow");
-    cRluOverflow = statSet.lazy("rluqueue_overflow");
-    cMissStatusOff = statSet.lazy("miss_with_status_off");
-    cDisRecorded = statSet.lazy("dis_recorded");
-    cDisNotBranch = statSet.lazy("dis_replay_not_branch");
-    cDisNoTarget = statSet.lazy("dis_replay_no_target");
-    cDisCandidates = statSet.lazy("dis_candidates");
-    cPrefillNoFootprint = statSet.lazy("btb_prefill_no_footprint");
-    cPrefillBlocks = statSet.lazy("btb_prefill_blocks");
+    cSeqOverflow = statSet.counter("seqqueue_overflow");
+    cDisOverflow = statSet.counter("disqueue_overflow");
+    cRluOverflow = statSet.counter("rluqueue_overflow");
+    cMissStatusOff = statSet.counter("miss_with_status_off");
+    cDisRecorded = statSet.counter("dis_recorded");
+    cDisNotBranch = statSet.counter("dis_replay_not_branch");
+    cDisNoTarget = statSet.counter("dis_replay_no_target");
+    cDisCandidates = statSet.counter("dis_candidates");
+    cPrefillNoFootprint = statSet.counter("btb_prefill_no_footprint");
+    cPrefillBlocks = statSet.counter("btb_prefill_blocks");
 }
 
 std::size_t

@@ -198,13 +198,11 @@ class Sn4lDisBtb final : public InstrPrefetcher
 
     // Typed handles for the per-trigger hot path.
     obs::Counter cLocalStatusHits, cLocalStatusFills, cSeqTableReads,
-        cSn4lFiltered, cSn4lCandidates, cRluFiltered, cIssued;
+        cSn4lFiltered, cSn4lCandidates, cRluFiltered, cIssued, cSeqOverflow,
+        cDisOverflow, cRluOverflow, cMissStatusOff, cDisRecorded,
+        cDisNotBranch, cDisNoTarget, cDisCandidates, cPrefillNoFootprint,
+        cPrefillBlocks;
     obs::Histogram hChainDepth, hRluQueueOcc;
-    // Lazily-bound counters for the per-event sites that used string
-    // adds (must stay lazy: see obs::LazyCounter).
-    obs::LazyCounter cSeqOverflow, cDisOverflow, cRluOverflow,
-        cMissStatusOff, cDisRecorded, cDisNotBranch, cDisNoTarget,
-        cDisCandidates, cPrefillNoFootprint, cPrefillBlocks;
 };
 
 } // namespace dcfb::prefetch

@@ -35,22 +35,31 @@ DecoupledFetchEngine::DecoupledFetchEngine(
     cFtqPushes = statSet.counter("ftq_pushes");
     hFtqOcc = statSet.histogram("ftq_occ");
     hBufferOcc = statSet.histogram("fetch_buffer_occ");
-    cReactiveFills = statSet.lazy("bpu_reactive_fills");
-    cSgPrefillBlocks = statSet.lazy("sg_prefill_blocks");
-    cBoomerangPrefillEntries = statSet.lazy("boomerang_prefill_entries");
-    cSgFootprintPrefetches = statSet.lazy("sg_footprint_prefetches");
-    cSgCbtbFills = statSet.lazy("sg_cbtb_buffer_fills");
-    cSgRegionSkipped = statSet.lazy("sg_region_prefetch_skipped");
-    cBpuTargetMispredicts = statSet.lazy("bpu_target_mispredicts");
-    cBpuMispredicts = statSet.lazy("bpu_mispredicts");
-    cBpuRasMispredicts = statSet.lazy("bpu_ras_mispredicts");
-    cSquashes = statSet.lazy("fe_squashes");
-    cWrongPathPrefetches = statSet.lazy("bpu_wrong_path_prefetches");
-    cBbBtbMisses = statSet.lazy("boomerang_bbbtb_miss");
-    cCbtbMisses = statSet.lazy("sg_cbtb_miss");
-    cUbtbMisses = statSet.lazy("sg_ubtb_miss");
-    cRibMisses = statSet.lazy("sg_rib_miss");
-    cFdipBtbMisses = statSet.lazy("fdip_btb_miss");
+    cReactiveFills = statSet.counter("bpu_reactive_fills");
+    cBpuTargetMispredicts = statSet.counter("bpu_target_mispredicts");
+    cBpuMispredicts = statSet.counter("bpu_mispredicts");
+    cBpuRasMispredicts = statSet.counter("bpu_ras_mispredicts");
+    cSquashes = statSet.counter("fe_squashes");
+    cWrongPathPrefetches = statSet.counter("bpu_wrong_path_prefetches");
+    switch (kind) {
+      case Family::Boomerang:
+        cBoomerangPrefillEntries =
+            statSet.counter("boomerang_prefill_entries");
+        cBbBtbMisses = statSet.counter("boomerang_bbbtb_miss");
+        break;
+      case Family::Shotgun:
+        cSgPrefillBlocks = statSet.counter("sg_prefill_blocks");
+        cSgFootprintPrefetches = statSet.counter("sg_footprint_prefetches");
+        cSgCbtbFills = statSet.counter("sg_cbtb_buffer_fills");
+        cSgRegionSkipped = statSet.counter("sg_region_prefetch_skipped");
+        cCbtbMisses = statSet.counter("sg_cbtb_miss");
+        cUbtbMisses = statSet.counter("sg_ubtb_miss");
+        cRibMisses = statSet.counter("sg_rib_miss");
+        break;
+      default:
+        cFdipBtbMisses = statSet.counter("fdip_btb_miss");
+        break;
+    }
 
     // Pre-size the lookahead ring past the common BPU/fetch separation
     // (FTQ depth x BB-scan bound) so growth is exceptional.
@@ -98,7 +107,7 @@ DecoupledFetchEngine::scanTerminator(std::uint64_t idx)
 
 void
 DecoupledFetchEngine::reactiveStall(Addr addr, Cycle now,
-                                    obs::LazyCounter &stat)
+                                    obs::Counter stat)
 {
     stat.add();
     if (obs::Tracing::enabled()) {

@@ -104,7 +104,7 @@ class DecoupledFetchEngine final : public FetchEngine, public mem::L1iListener
 
     /** Begin a reactive prefill stall for the block at @p addr,
      *  counting it against @p stat. */
-    void reactiveStall(Addr addr, Cycle now, obs::LazyCounter &stat);
+    void reactiveStall(Addr addr, Cycle now, obs::Counter stat);
 
     /** Prefetch + pre-decode the blocks named by a Shotgun footprint. */
     void footprintPrefetch(Addr anchor_block, std::uint8_t bits, Cycle now);
@@ -180,16 +180,17 @@ class DecoupledFetchEngine final : public FetchEngine, public mem::L1iListener
     };
     std::vector<RetRecord> retRecords;
 
-    // Typed handles for the per-cycle hot path.
     obs::Counter cFetched, cIcacheStallCycles, cEmptyFtqStallCycles,
-        cBpuStallCycles, cFtqPushes;
+        cBpuStallCycles, cFtqPushes, cReactiveFills, cBpuTargetMispredicts,
+        cBpuMispredicts, cBpuRasMispredicts, cSquashes,
+        cWrongPathPrefetches;
     obs::Histogram hFtqOcc, hBufferOcc;
-    // Lazily-bound handles for per-event sites (see obs::LazyCounter).
-    obs::LazyCounter cReactiveFills, cSgPrefillBlocks,
-        cBoomerangPrefillEntries, cSgFootprintPrefetches, cSgCbtbFills,
-        cSgRegionSkipped, cBpuTargetMispredicts, cBpuMispredicts,
-        cBpuRasMispredicts, cSquashes, cWrongPathPrefetches,
-        cBbBtbMisses, cCbtbMisses, cUbtbMisses, cRibMisses, cFdipBtbMisses;
+    // Mechanism-specific: registered only for their own family (the
+    // others bump discarding default handles, if at all).
+    obs::Counter cBoomerangPrefillEntries, cBbBtbMisses;
+    obs::Counter cSgPrefillBlocks, cSgFootprintPrefetches, cSgCbtbFills,
+        cSgRegionSkipped, cCbtbMisses, cUbtbMisses, cRibMisses;
+    obs::Counter cFdipBtbMisses;
 };
 
 } // namespace dcfb::sim

@@ -19,8 +19,8 @@
  *    Confluence) compiles the probe out entirely.  The
  *    `CoupledFetchEngine` alias instantiates the template with the
  *    abstract base and is bit-identical to the pre-template engine; it
- *    backs the `generic_step` escape hatch and the dispatch-equivalence
- *    tests.
+ *    backs `SystemConfig::genericStep`, the reference path of the
+ *    dispatch-equivalence tests.
  *
  *  - **DecoupledFetchEngine** (sim/decoupled.h): the BTB-directed
  *    frontend of Boomerang and Shotgun, with a branch-prediction unit
@@ -143,15 +143,15 @@ class CoupledFetchEngineT final : public FetchEngine
             statSet.counter("fe_mispredict_stall_cycles");
         cWrongPathBlocks = statSet.counter("fe_wrong_path_blocks");
         hBufferOcc = statSet.histogram("fetch_buffer_occ");
-        cBtbRedirects = statSet.lazy("fe_btb_redirects");
-        cMispredictRedirects = statSet.lazy("fe_mispredict_redirects");
-        cBtbBufferFills = statSet.lazy("fe_btb_buffer_fills");
-        cBtbMissTaken = statSet.lazy("fe_btb_miss_taken");
-        cBtbMissNotTaken = statSet.lazy("fe_btb_miss_not_taken");
-        cCondMispredicts = statSet.lazy("fe_cond_mispredicts");
-        cStaleTarget = statSet.lazy("fe_stale_target");
-        cIndirectMispredicts = statSet.lazy("fe_indirect_mispredicts");
-        cRasMispredicts = statSet.lazy("fe_ras_mispredicts");
+        cBtbRedirects = statSet.counter("fe_btb_redirects");
+        cMispredictRedirects = statSet.counter("fe_mispredict_redirects");
+        cBtbBufferFills = statSet.counter("fe_btb_buffer_fills");
+        cBtbMissTaken = statSet.counter("fe_btb_miss_taken");
+        cBtbMissNotTaken = statSet.counter("fe_btb_miss_not_taken");
+        cCondMispredicts = statSet.counter("fe_cond_mispredicts");
+        cStaleTarget = statSet.counter("fe_stale_target");
+        cIndirectMispredicts = statSet.counter("fe_indirect_mispredicts");
+        cRasMispredicts = statSet.counter("fe_ras_mispredicts");
         refill();
     }
 
@@ -449,15 +449,12 @@ class CoupledFetchEngineT final : public FetchEngine
     Pf &pf;
     frontend::ReturnAddressStack ras;
 
-    // Typed handles for the per-cycle hot path.
     obs::Counter cFetched, cIcacheStallCycles, cBtbStallCycles,
-        cMispredictStallCycles, cWrongPathBlocks;
-    obs::Histogram hBufferOcc;
-    // Lazily-bound handles for per-branch event sites (these must only
-    // appear in results once they fire; see obs::LazyCounter).
-    obs::LazyCounter cBtbRedirects, cMispredictRedirects, cBtbBufferFills,
-        cBtbMissTaken, cBtbMissNotTaken, cCondMispredicts, cStaleTarget,
+        cMispredictStallCycles, cWrongPathBlocks, cBtbRedirects,
+        cMispredictRedirects, cBtbBufferFills, cBtbMissTaken,
+        cBtbMissNotTaken, cCondMispredicts, cStaleTarget,
         cIndirectMispredicts, cRasMispredicts;
+    obs::Histogram hBufferOcc;
 
     static constexpr std::size_t kLookahead = 64;
     /** Trace lookahead window (ring; refilled to capacity each cycle). */
@@ -474,8 +471,8 @@ class CoupledFetchEngineT final : public FetchEngine
 };
 
 /** The generic (virtual-dispatch) coupled engine: the pre-template
- *  behaviour, used by the `generic_step` escape hatch and anywhere the
- *  prefetcher's concrete type is not known at compile time. */
+ *  behaviour, bound under `SystemConfig::genericStep` (the reference
+ *  path of the dispatch-equivalence tests). */
 using CoupledFetchEngine = CoupledFetchEngineT<prefetch::InstrPrefetcher>;
 
 // The generic instantiation is compiled once in fetch.cpp.

@@ -413,10 +413,11 @@ System::forEachStats(const std::function<void(const char *, StatSet &)> &fn)
     fn("btb", btb->stats());
     fn("tage", tage->stats());
     fn("be", backend->stats());
-    if (decoupled) {
+    Family family = presetRow(cfg.preset).family;
+    if (family == Family::Shotgun)
         fn("sg", decoupled->shotgunBtb().stats());
+    if (family == Family::Boomerang)
         fn("bb", decoupled->bbBtb().stats());
-    }
     prefetcher->forEachStats([&fn](StatSet &stats) { fn("pf", stats); });
     if (microBtb)
         fn("mbtb", microBtb->stats());

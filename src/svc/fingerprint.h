@@ -18,8 +18,9 @@
  *
  * Maintenance rule: when a result-shaping field is added to
  * SystemConfig or a nested config struct, it MUST be added here and
- * `kCacheSchema` MUST be bumped.  tests/test_svc.cpp pins the key of a
- * reference config to catch accidental fingerprint drift.
+ * `kCacheSchema` MUST be bumped.  SvcFingerprint.ReferenceKeyIsPinned
+ * (tests/test_svc.cpp) pins the key of a reference config to catch
+ * accidental fingerprint drift.
  */
 
 #ifndef DCFB_SVC_FINGERPRINT_H
@@ -36,9 +37,9 @@ namespace dcfb::svc {
 
 /** Cache entry schema / fingerprint version.  Bump on layout change,
  *  and whenever one fingerprint starts to yield a different RunResult
- *  (v3: the SeqTable/DisTable/RLU, Confluence and basic-block-BTB stat
- *  sets are reset at the warm/measure boundary). */
-inline constexpr const char *kCacheSchema = "dcfb-cache-v3";
+ *  (v4: every registered counter reports, at zero if it never fired,
+ *  and ClassicDis reports its `cdis_*` counters). */
+inline constexpr const char *kCacheSchema = "dcfb-cache-v4";
 
 /** The canonical fingerprint document for one (config, windows) run. */
 obs::JsonValue fingerprint(const sim::SystemConfig &config,

@@ -8,7 +8,7 @@
  * `dcfb-bench-v1` reports carry, wrapped with the fingerprint that
  * produced them:
  *
- *     {"schema": "dcfb-cache-v3", "key": "<hex>",
+ *     {"schema": "dcfb-cache-v4", "key": "<hex>",
  *      "fingerprint": {...}, "result": {...RunResult...}}
  *
  * Durability rules:

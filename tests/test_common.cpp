@@ -212,18 +212,6 @@ TEST(StatSet, AddAndGet)
     EXPECT_EQ(s.get("absent"), 0u);
 }
 
-TEST(StatSet, LazyKeyAppearsOnFirstAdd)
-{
-    StatSet s;
-    obs::LazyCounter quiet = s.lazy("quiet");
-    obs::LazyCounter zero = s.lazy("zero");
-    EXPECT_TRUE(s.all().empty());
-    zero.add(0); // an add of 0 still interns the key
-    EXPECT_EQ(s.all().size(), 1u);
-    EXPECT_EQ(s.all().count("zero"), 1u);
-    EXPECT_EQ(quiet.value(), 0u);
-}
-
 TEST(StatSet, Ratio)
 {
     StatSet s;
@@ -237,7 +225,7 @@ TEST(StatSet, ResetZeroesEverything)
 {
     StatSet s;
     s.counter("a").add(10);
-    obs::LazyCounter b = s.lazy("b");
+    obs::Counter b = s.counter("b");
     b.add(20);
     s.reset();
     EXPECT_EQ(s.get("a"), 0u);
@@ -250,7 +238,7 @@ TEST(StatSet, ResetZeroesEverything)
 TEST(StatSet, DumpContainsNames)
 {
     StatSet s;
-    s.lazy("cycles").add(123);
+    s.counter("cycles").add(123);
     EXPECT_NE(s.dump().find("cycles = 123"), std::string::npos);
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the observability subsystem: stat-registry ID interning,
+ * Tests for the observability subsystem: stat-set ID interning,
  * log2 histogram bucket edges, JSON round-trips (parser, RunResult),
  * trace on/off parity of the final counters, span timelines, and the
  * dcfb-prof-v1 profile schema.
@@ -15,10 +15,10 @@
 #include <sstream>
 #include <thread>
 
+#include "common/stats.h"
 #include "exec/schedule.h"
 #include "obs/json.h"
 #include "obs/profiler.h"
-#include "obs/registry.h"
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "sim/report.h"
@@ -28,55 +28,55 @@
 namespace dcfb {
 namespace {
 
-// ---------------------------------------------------------------- registry
+// --------------------------------------------------------------- stat set
 
-TEST(StatRegistry, CounterInterningIsStable)
+TEST(StatSet, CounterInterningIsStable)
 {
-    obs::StatRegistry reg;
-    obs::Counter a = reg.counter("alpha");
-    obs::Counter b = reg.counter("beta");
+    StatSet s;
+    obs::Counter a = s.counter("alpha");
+    obs::Counter b = s.counter("beta");
     // Re-registering the same name must return the same slot.
-    obs::Counter a2 = reg.counter("alpha");
+    obs::Counter a2 = s.counter("alpha");
     a.add(3);
     a2.add(4);
     b.add(1);
-    EXPECT_EQ(reg.get("alpha"), 7u);
-    EXPECT_EQ(reg.get("beta"), 1u);
-    EXPECT_EQ(reg.counterIndex("alpha"), reg.counterIndex("alpha"));
-    EXPECT_NE(reg.counterIndex("alpha"), reg.counterIndex("beta"));
+    EXPECT_EQ(s.get("alpha"), 7u);
+    EXPECT_EQ(s.get("beta"), 1u);
+    EXPECT_EQ(s.counterIndex("alpha"), s.counterIndex("alpha"));
+    EXPECT_NE(s.counterIndex("alpha"), s.counterIndex("beta"));
 }
 
-TEST(StatRegistry, HandlesSurviveRegistryGrowth)
+TEST(StatSet, HandlesSurviveGrowth)
 {
-    obs::StatRegistry reg;
-    obs::Counter first = reg.counter("first");
+    StatSet s;
+    obs::Counter first = s.counter("first");
     // Force many registrations; the early handle must stay valid (the
-    // registry's slots live in a deque, so addresses never move).
+    // set's slots live in a deque, so addresses never move).
     for (int i = 0; i < 1000; ++i)
-        reg.counter("c" + std::to_string(i)).add(1);
+        s.counter("c" + std::to_string(i)).add(1);
     first.add(5);
-    EXPECT_EQ(reg.get("first"), 5u);
-    EXPECT_EQ(reg.get("c999"), 1u);
+    EXPECT_EQ(s.get("first"), 5u);
+    EXPECT_EQ(s.get("c999"), 1u);
 }
 
-TEST(StatRegistry, DefaultCounterDiscards)
+TEST(StatSet, DefaultCounterDiscards)
 {
     obs::Counter c;  // not registered anywhere
     c.add(42);       // must not crash; value goes to the discard slot
-    obs::StatRegistry reg;
-    EXPECT_EQ(reg.counters().size(), 0u);
+    StatSet s;
+    EXPECT_EQ(s.all().size(), 0u);
 }
 
-TEST(StatRegistry, ResetZeroesCountersAndHistograms)
+TEST(StatSet, ResetZeroesCountersAndHistograms)
 {
-    obs::StatRegistry reg;
-    obs::Counter c = reg.counter("n");
-    obs::Histogram h = reg.histogram("h");
+    StatSet s;
+    obs::Counter c = s.counter("n");
+    obs::Histogram h = s.histogram("h");
     c.add(9);
     h.sample(16);
-    reg.reset();
-    EXPECT_EQ(reg.get("n"), 0u);
-    auto snap = reg.histograms().at("h");
+    s.reset();
+    EXPECT_EQ(s.get("n"), 0u);
+    auto snap = s.histograms().at("h");
     EXPECT_EQ(snap.count, 0u);
     EXPECT_EQ(snap.sum, 0u);
 }
@@ -109,12 +109,12 @@ TEST(Histogram, Log2BucketEdges)
 
 TEST(Histogram, SnapshotStatsAndMerge)
 {
-    obs::StatRegistry reg;
-    obs::Histogram h = reg.histogram("lat");
+    StatSet s;
+    obs::Histogram h = s.histogram("lat");
     h.sample(0);
     h.sample(1);
     h.sample(7);
-    auto snap = reg.histograms().at("lat");
+    auto snap = s.histograms().at("lat");
     EXPECT_EQ(snap.count, 3u);
     EXPECT_EQ(snap.sum, 8u);
     EXPECT_EQ(snap.max, 7u);

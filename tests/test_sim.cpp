@@ -196,6 +196,27 @@ TEST(Simulator, ZeroMeasureWindowCountsNothing)
     }
 }
 
+TEST(Simulator, KeySetDoesNotDependOnWindows)
+{
+    // Components register every counter at construction, so which keys
+    // a RunResult lists is fixed by the design, not by what fired.
+    auto keys = [](const RunResult &res) {
+        std::set<std::string> out;
+        for (const auto &kv : res.stats)
+            out.insert(kv.first);
+        return out;
+    };
+    auto program = workload::ImageCache::global().get(testProfile());
+    for (Preset preset : allPresets()) {
+        SystemConfig cfg = makeConfig(testProfile(), preset);
+        cfg.program = program;
+        cfg.functionalWarmInstrs = 40000;
+        RunResult idle = simulate(cfg, RunWindows{0, 0});
+        RunResult timed = simulate(cfg, RunWindows{5000, 20000});
+        EXPECT_EQ(keys(idle), keys(timed)) << presetName(preset);
+    }
+}
+
 TEST(Experiment, GridRunsSubset)
 {
     ExperimentGrid grid({Preset::Baseline, Preset::SN4L},

@@ -108,6 +108,16 @@ TEST(SvcFingerprint, StableAcrossCalls)
     EXPECT_EQ(schema->asString(), svc::kCacheSchema);
 }
 
+TEST(SvcFingerprint, ReferenceKeyIsPinned)
+{
+    // A fingerprint change without a kCacheSchema bump would serve stale
+    // entries; a deliberate change (with the bump) updates this value.
+    sim::SystemConfig cfg = sim::makeConfig(
+        workload::serverProfile("Web Search"), sim::Preset::SN4LDisBtb);
+    EXPECT_EQ(svc::cacheKey(cfg, sim::RunWindows{20000, 150000}),
+              "685db63b4ed39e35");
+}
+
 TEST(SvcFingerprint, EveryResultShapingKnobChangesTheKey)
 {
     sim::SystemConfig base = tinyConfig(sim::Preset::SN4L);
@@ -188,7 +198,7 @@ TEST_F(SvcResultCache, StrayTempFileFromKilledWriterIsIgnored)
     // must treat that as a clean miss.
     {
         std::ofstream stray(cache.entryPath(key) + ".tmp.9999");
-        stray << "{\"schema\": \"dcfb-cache-v3\", \"trunca";
+        stray << "{\"schema\": \"dcfb-cache-v4\", \"trunca";
     }
     EXPECT_FALSE(cache.get(key, fp).has_value());
 
@@ -214,7 +224,7 @@ TEST_F(SvcResultCache, CorruptEntryIsRejectedAndRecomputed)
     {
         std::ofstream out(cache.entryPath(key),
                           std::ios::out | std::ios::trunc);
-        out << "{\"schema\": \"dcfb-cache-v3\", this is not json";
+        out << "{\"schema\": \"dcfb-cache-v4\", this is not json";
     }
     auto load = cache.load(key, fp);
     ASSERT_FALSE(load.ok()); // typed error, not a crash

@@ -109,9 +109,9 @@ TEST(WarmCache, SharedImageMatchesPrivateImageForEveryPreset)
 
 TEST(WarmCache, RestoredCellInternsTheWalksStatisticKeys)
 {
-    // With no timed cycles, the TAGE keys (and, under DV-LLC, the LLC
-    // footprint keys) of a RunResult were interned by the warmup walk
-    // alone, so a restored cell must reproduce them from the checkpoint.
+    // With no timed cycles, a restored cell must still list the TAGE
+    // keys (and, under DV-LLC only, the LLC footprint keys) of the cell
+    // that walked: they come from construction, not from the walk.
     for (bool vl : {false, true}) {
         RunResult reference =
             simulate(smallConfig(Preset::Baseline, nullptr, vl), {0, 0});
