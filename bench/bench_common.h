@@ -69,6 +69,7 @@
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
+#include "sim/warm_cache.h"
 #include "svc/result_cache.h"
 #include "workload/profiles.h"
 
@@ -104,6 +105,9 @@ simulateAll(const std::string &label, std::vector<sim::SystemConfig> configs,
         if (!cfg.program)
             cfg.program = workload::ImageCache::global().get(cfg.profile);
     }
+    std::vector<const sim::SystemConfig *> cfgs;
+    for (const auto &cfg : configs)
+        cfgs.push_back(&cfg);
     std::vector<std::optional<sim::RunResult>> out(configs.size());
     auto report = exec::runIndexed(
         label, configs.size(), jobs,
@@ -113,7 +117,8 @@ simulateAll(const std::string &label, std::vector<sim::SystemConfig> configs,
         [&](std::size_t i) {
             return configs[i].profile.name + "/" +
                 sim::presetName(configs[i].preset);
-        });
+        },
+        sim::warmLeadersFirst(cfgs));
     exec::ExecLog::push(std::move(report));
     std::vector<sim::RunResult> results;
     results.reserve(out.size());

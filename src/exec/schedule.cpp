@@ -1,5 +1,6 @@
 #include "exec/schedule.h"
 
+#include <cassert>
 #include <chrono>
 #include <mutex>
 #include <optional>
@@ -58,8 +59,10 @@ ExecReport::occupancy() const
 ExecReport
 runIndexed(std::string label, std::size_t n, unsigned jobs,
            const std::function<void(std::size_t)> &body,
-           const std::function<std::string(std::size_t)> &cell_label)
+           const std::function<std::string(std::size_t)> &cell_label,
+           const std::vector<std::size_t> &order)
 {
+    assert(order.empty() || order.size() == n);
     ExecReport report;
     report.label = std::move(label);
     report.jobs = jobs ? jobs : 1;
@@ -93,7 +96,8 @@ runIndexed(std::string label, std::size_t n, unsigned jobs,
 
     {
         Pool pool(report.jobs);
-        for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t k = 0; k < n; ++k) {
+            std::size_t i = order.empty() ? k : order[k];
             pool.submit([&, i] {
                 auto c0 = std::chrono::steady_clock::now();
                 traced_body(i);

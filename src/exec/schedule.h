@@ -73,9 +73,10 @@ struct ExecReport
  * Run `body(i)` for every i in [0, n) and return the timing report.
  *
  * jobs <= 1: cells run in ascending index order on the calling thread
- * (bit-identical to a plain loop).  jobs > 1: cells are scheduled onto
- * a Pool of @p jobs workers; the call returns after the barrier, and
- * the first exception any cell threw is rethrown here.
+ * (bit-identical to a plain loop).  jobs > 1: cells are submitted to a
+ * Pool of @p jobs workers in @p order (index order when empty); the
+ * call returns after the barrier, and the first exception any cell
+ * threw is rethrown here.  The report is indexed by cell either way.
  *
  * @param label      sweep label for the report
  * @param n          number of cells
@@ -83,11 +84,14 @@ struct ExecReport
  * @param body       the cell; must only touch cell-owned or
  *                   shared-immutable state when jobs > 1
  * @param cell_label optional label for per-cell timing entries
+ * @param order      optional pooled submission order, a permutation of
+ *                   [0, n)
  */
 ExecReport
 runIndexed(std::string label, std::size_t n, unsigned jobs,
            const std::function<void(std::size_t)> &body,
-           const std::function<std::string(std::size_t)> &cell_label = {});
+           const std::function<std::string(std::size_t)> &cell_label = {},
+           const std::vector<std::size_t> &order = {});
 
 /** runIndexed() without the report: a bare indexed parallel loop. */
 void parallelFor(std::size_t n, unsigned jobs,

@@ -11,35 +11,30 @@ rt::FaultPlan gDefaultFaultPlan; // inactive unless --inject installs one
 
 using P = Preset;
 using F = Family;
-constexpr WarmMode kShared = WarmMode::Shared;
-constexpr WarmMode kPrivate = WarmMode::Private;
-constexpr WarmMode kBranches = WarmMode::PrivateBranches;
 
 /** One row per Preset, in enum order.  Adding a preset: append the enum
  *  value, append its row here, and size its structures in makeConfig()
  *  if the defaults do not fit (DESIGN.md §14). */
 constexpr PresetRow kPresets[] = {
-    // preset          name                 family      NL warm     uBTB
-    {P::Baseline,      "Baseline",          F::Plain,      0, kShared, false},
-    {P::NL,            "NL",                F::NextLine,   1, kShared, false},
-    {P::N2L,           "N2L",               F::NextLine,   2, kShared, false},
-    {P::N4L,           "N4L",               F::NextLine,   4, kShared, false},
-    {P::N8L,           "N8L",               F::NextLine,   8, kShared, false},
-    {P::N4LPlain,      "N4L(engine)",       F::Sn4lDisBtb, 0, kShared, false},
-    {P::SN4L,          "SN4L",              F::Sn4lDisBtb, 0, kShared, false},
-    {P::DisOnly,       "Dis",               F::Sn4lDisBtb, 0, kShared, false},
-    {P::SN4LDis,       "SN4L+Dis",          F::Sn4lDisBtb, 0, kShared, false},
-    {P::SN4LDisBtb,    "SN4L+Dis+BTB",      F::Sn4lDisBtb, 0, kShared, false},
-    {P::ClassicDis,    "ClassicDis",        F::ClassicDis, 0, kShared, false},
-    // Its 16 K-entry BTB is a geometry no other preset shares.
-    {P::Confluence,    "Confluence",        F::Confluence, 0, kPrivate, false},
-    {P::Boomerang,     "Boomerang",         F::Boomerang,  0, kShared, false},
-    {P::Shotgun,       "Shotgun",           F::Shotgun,    0, kBranches, false},
-    {P::PerfectL1i,    "PerfectL1i",        F::Plain,      0, kShared, false},
-    {P::PerfectL1iBtb, "PerfectL1i+BTBinf", F::Plain,      0, kShared, false},
-    {P::Fdip,          "FDIP",              F::Fdip,       0, kShared, false},
-    // Functional warmup fills the micro BTB too.
-    {P::MicroBtb,      "MicroBTB",          F::Plain,      0, kPrivate, true},
+    // preset          name                 family      NL uBTB
+    {P::Baseline,      "Baseline",          F::Plain,      0, false},
+    {P::NL,            "NL",                F::NextLine,   1, false},
+    {P::N2L,           "N2L",               F::NextLine,   2, false},
+    {P::N4L,           "N4L",               F::NextLine,   4, false},
+    {P::N8L,           "N8L",               F::NextLine,   8, false},
+    {P::N4LPlain,      "N4L(engine)",       F::Sn4lDisBtb, 0, false},
+    {P::SN4L,          "SN4L",              F::Sn4lDisBtb, 0, false},
+    {P::DisOnly,       "Dis",               F::Sn4lDisBtb, 0, false},
+    {P::SN4LDis,       "SN4L+Dis",          F::Sn4lDisBtb, 0, false},
+    {P::SN4LDisBtb,    "SN4L+Dis+BTB",      F::Sn4lDisBtb, 0, false},
+    {P::ClassicDis,    "ClassicDis",        F::ClassicDis, 0, false},
+    {P::Confluence,    "Confluence",        F::Confluence, 0, false},
+    {P::Boomerang,     "Boomerang",         F::Boomerang,  0, false},
+    {P::Shotgun,       "Shotgun",           F::Shotgun,    0, false},
+    {P::PerfectL1i,    "PerfectL1i",        F::Plain,      0, false},
+    {P::PerfectL1iBtb, "PerfectL1i+BTBinf", F::Plain,      0, false},
+    {P::Fdip,          "FDIP",              F::Fdip,       0, false},
+    {P::MicroBtb,      "MicroBTB",          F::Plain,      0, true},
 };
 
 /** Rows are indexed by enum value; MicroBtb is the last value. */

@@ -62,13 +62,6 @@ enum class Family {
     Fdip,       //!< decoupled BPU over the conventional BTB + Fdip unit
 };
 
-/** Where a preset's functional warmup comes from (sim::WarmCache). */
-enum class WarmMode {
-    Shared,          //!< restore the image's shared checkpoint
-    Private,         //!< walk in place: the preset warms its own structures
-    PrivateBranches, //!< Private, plus the branch list for Shotgun BTB priming
-};
-
 /** What a preset decides besides structure sizes (makeConfig). */
 struct PresetRow
 {
@@ -76,7 +69,6 @@ struct PresetRow
     const char *name;        //!< name used in reports
     Family family;
     unsigned nextLineDegree; //!< NextLine family: lines per trigger
-    WarmMode warm;
     bool microBtb;           //!< a micro BTB sits behind the main BTB
 };
 

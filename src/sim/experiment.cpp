@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "rt/error.h"
+#include "sim/warm_cache.h"
 #include "svc/result_cache.h"
 
 namespace dcfb::sim {
@@ -70,6 +71,9 @@ ExperimentGrid::run(const std::vector<std::string> &workload_names,
     // but the immutable images), then the results are merged in cell
     // order after the barrier so the grid's content is independent of
     // worker interleaving.
+    std::vector<const SystemConfig *> cfgs;
+    for (const Cell &cell : cells)
+        cfgs.push_back(&cell.cfg);
     std::vector<std::optional<RunResult>> out(cells.size());
     lastExec = exec::runIndexed(
         "grid", cells.size(), jobs,
@@ -82,7 +86,8 @@ ExperimentGrid::run(const std::vector<std::string> &workload_names,
         },
         [&](std::size_t i) {
             return cells[i].name + "/" + presetName(cells[i].preset);
-        });
+        },
+        warmLeadersFirst(cfgs));
     exec::ExecLog::push(lastExec);
 
     for (std::size_t i = 0; i < cells.size(); ++i) {

@@ -135,34 +135,30 @@ System::System(const SystemConfig &config)
     // checkpoint state of the paper's SimFlex methodology.  Cells that
     // share an image restore the state from the process-wide checkpoint
     // cache (the first cell of a key walks and captures it); private
-    // images and presets that prime their own structures walk in place.
-    // Branch PCs are remembered so the Shotgun BTB can be primed after
-    // construction; Boomerang and FDIP prime through btb/bbtb updates
-    // directly.
-    std::vector<workload::TraceEntry> warm_branches;
-    if (cfg.program && sharesWarmup(cfg.preset)) {
+    // images walk in place.  Branch state no checkpoint holds is primed
+    // afterwards by replaying the same stream.
+    bool btb_warm = true;
+    if (cfg.program) {
         auto warm = WarmCache::global().get(cfg, [this] {
-            functionalWarmup(nullptr);
+            functionalWarmup();
             return captureWarmState();
         });
         if (!warm.built)
-            restoreWarmState(*warm.state);
+            btb_warm = restoreWarmState(*warm.state);
     } else {
-        functionalWarmup(row.warm == WarmMode::PrivateBranches
-                             ? &warm_branches
-                             : nullptr);
+        functionalWarmup();
     }
 
-    withFamily(row.family, [&]<typename Pf, typename Fe>() {
-        wire<Pf, Fe>(warm_branches);
-    });
+    withFamily(row.family,
+               [&]<typename Pf, typename Fe>() { wire<Pf, Fe>(); });
     if (microBtb)
         fetch->setMicroBtb(microBtb.get());
+    replayWarmBranches(!btb_warm);
     registerIntegrity();
 }
 
 void
-System::functionalWarmup(std::vector<workload::TraceEntry> *branches)
+System::functionalWarmup()
 {
     for (std::uint64_t i = 0; i < cfg.functionalWarmInstrs; ++i) {
         workload::TraceEntry e = walker->next();
@@ -179,15 +175,49 @@ System::functionalWarmup(std::vector<workload::TraceEntry> *branches)
             } else {
                 tage->updateHistoryUnconditional(e.pc);
             }
-            if (e.taken) {
+            if (e.taken)
                 btb->update(e.pc, e.target, e.kind);
-                if (microBtb)
-                    microBtb->fill(e.pc, e.target, e.kind);
-            }
-            if (branches)
-                branches->push_back(e);
         }
         recordRetiredFootprints(e);
+    }
+}
+
+void
+System::replayWarmBranches(bool prime_btb)
+{
+    frontend::ShotgunBtb *sg =
+        presetRow(cfg.preset).family == Family::Shotgun
+        ? &decoupled->shotgunBtb()
+        : nullptr;
+    if (!prime_btb && !microBtb && !sg)
+        return;
+    // Same image and seed as the walk, so the same retired stream.
+    // Footprints still build during the timed warm window: only the
+    // retired stream can construct them (Section III).
+    workload::TraceWalker replay(*program, cfg.runSeed);
+    for (std::uint64_t i = 0; i < cfg.functionalWarmInstrs; ++i) {
+        workload::TraceEntry e = replay.next();
+        if (!e.isBranch())
+            continue;
+        if (sg) {
+            switch (e.kind) {
+              case isa::InstrKind::CondBranch:
+                sg->updateC(e.pc, e.target);
+                break;
+              case isa::InstrKind::Return:
+                sg->updateRib(e.pc);
+                break;
+              default:
+                sg->updateU(e.pc, e.target, e.kind, false);
+                break;
+            }
+        }
+        if (!e.taken)
+            continue;
+        if (prime_btb)
+            btb->update(e.pc, e.target, e.kind);
+        if (microBtb)
+            microBtb->fill(e.pc, e.target, e.kind);
     }
 }
 
@@ -199,10 +229,12 @@ System::captureWarmState() const
                           l1i->capture(),
                           l1d->capture(),
                           tage->capture(),
-                          btb->capture()};
+                          btb->capture(),
+                          cfg.btbEntries,
+                          cfg.btbAssoc};
 }
 
-void
+bool
 System::restoreWarmState(const WarmCheckpoint &warm)
 {
     walker->restore(warm.walker);
@@ -210,12 +242,15 @@ System::restoreWarmState(const WarmCheckpoint &warm)
     l1i->restore(warm.l1i);
     l1d->restore(warm.l1d);
     tage->restore(warm.tage);
+    if (!warm.holdsBtbOf(cfg))
+        return false;
     btb->restore(warm.btb);
+    return true;
 }
 
 template <typename Pf, typename Fe>
 void
-System::wire(const std::vector<workload::TraceEntry> &warm_branches)
+System::wire()
 {
     using namespace prefetch;
     if constexpr (std::is_same_v<Pf, NextLinePrefetcher>)
@@ -248,24 +283,6 @@ System::wire(const std::vector<workload::TraceEntry> &warm_branches)
         l1i->setListener(fdip_unit
                              ? static_cast<mem::L1iListener *>(fdip_unit)
                              : decoupled);
-        // Prime the Shotgun BTB from the warm branch stream, which only
-        // WarmMode::PrivateBranches collects (footprints still build
-        // during the timed warm window: only the retired stream can
-        // construct them, Section III).
-        auto &sg = engine->shotgunBtb();
-        for (const auto &e : warm_branches) {
-            switch (e.kind) {
-              case isa::InstrKind::CondBranch:
-                sg.updateC(e.pc, e.target);
-                break;
-              case isa::InstrKind::Return:
-                sg.updateRib(e.pc);
-                break;
-              default:
-                sg.updateU(e.pc, e.target, e.kind, false);
-                break;
-            }
-        }
         fetch = std::move(engine);
     } else {
         l1i->setListener(prefetcher.get());

@@ -24,8 +24,10 @@
  *
  *  - **Shared functional warmup.**  A cell whose image is shared
  *    (cfg.program) restores the warmed LLC/L1/TAGE/BTB/walker state
- *    from sim::WarmCache when its preset warms only those structures;
- *    the first cell of a key walks and captures it.
+ *    from sim::WarmCache, whatever its preset; the first cell of a key
+ *    walks and captures it.  What the checkpoint lacks -- the Micro
+ *    BTB, Shotgun's U/C-BTB/RIB, and a BTB of another geometry -- is
+ *    primed by replaying the warm branch stream, on private images too.
  */
 
 #ifndef DCFB_SIM_SYSTEM_H
@@ -147,13 +149,21 @@ class System
     using StepFn = void (System::*)();
 
     /** Replay cfg.functionalWarmInstrs retired instructions into the
-     *  long-term structures, appending branches to @p branches when
-     *  non-null (Shotgun's BTB priming). */
-    void functionalWarmup(std::vector<workload::TraceEntry> *branches);
+     *  structures every preset shares (LLC, L1s, TAGE, BTB). */
+    void functionalWarmup();
 
-    /** Copy out / reinstate the state functionalWarmup() leaves. */
+    /** Copy out / reinstate the state functionalWarmup() leaves.  The
+     *  BTB is restored only when the checkpoint holds this cell's BTB
+     *  geometry; returns whether it was. */
     WarmCheckpoint captureWarmState() const;
-    void restoreWarmState(const WarmCheckpoint &warm);
+    bool restoreWarmState(const WarmCheckpoint &warm);
+
+    /**
+     * Prime the branch state the warm checkpoint lacks from a fresh walk
+     * of the same stream: the Micro BTB and the Shotgun BTB, and the
+     * conventional BTB when @p prime_btb.  No-op when there is none.
+     */
+    void replayWarmBranches(bool prime_btb);
 
     /** Wire the fault injector and register every component invariant. */
     void registerIntegrity();
@@ -161,10 +171,9 @@ class System
     /**
      * Construct the prefetcher and fetch engine of the preset's family
      * (concrete types @p Pf, @p Fe) and bind stepFn/stepProfFn to the
-     * same pair; @p warm_branches primes the Shotgun BTB.
+     * same pair.
      */
-    template <typename Pf, typename Fe>
-    void wire(const std::vector<workload::TraceEntry> &warm_branches);
+    template <typename Pf, typename Fe> void wire();
 
     /** Construct the coupled fetch engine for concrete prefetcher @p Pf. */
     template <typename Pf> void makeCoupledFetch();

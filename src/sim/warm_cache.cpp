@@ -5,18 +5,14 @@
 
 namespace dcfb::sim {
 
-bool
-sharesWarmup(Preset preset)
-{
-    return presetRow(preset).warm == WarmMode::Shared;
-}
+namespace {
 
-/** One key and its checkpoint.  The key is the image's identity plus
- *  exactly what the warm loop reads: prefetcher and fetch knobs (e.g.
- *  l1i.usePrefetchBuffer) must not split it. */
-struct WarmCache::Entry
+/** Exactly what the warm loop reads besides the image.  Prefetcher and
+ *  fetch knobs (e.g. l1i.usePrefetchBuffer) must not split it, and
+ *  neither does the BTB geometry: a restoring cell replays its own BTB
+ *  when the checkpoint's differs (WarmCheckpoint::holdsBtbOf). */
+struct WarmKey
 {
-    std::weak_ptr<const workload::Program> image;
     std::uint64_t runSeed = 0;
     std::uint64_t warmInstrs = 0;
     mem::LlcConfig llc;
@@ -24,35 +20,66 @@ struct WarmCache::Entry
     unsigned l1iAssoc = 0;
     std::size_t l1dBytes = 0;
     unsigned l1dAssoc = 0;
-    unsigned btbEntries = 0;
-    unsigned btbAssoc = 0;
+
+    explicit WarmKey(const SystemConfig &cfg)
+        : runSeed(cfg.runSeed), warmInstrs(cfg.functionalWarmInstrs),
+          llc(cfg.llc), l1iBytes(cfg.l1i.capacityBytes),
+          l1iAssoc(cfg.l1i.assoc), l1dBytes(cfg.l1d.capacityBytes),
+          l1dAssoc(cfg.l1d.assoc)
+    {
+    }
+
+    bool operator==(const WarmKey &) const = default;
+};
+
+/** Owner equality: a weak reference pins the control block, so a
+ *  rebuilt image can never compare equal to a freed one. */
+template <typename A, typename B>
+bool
+sameOwner(const A &a, const B &b)
+{
+    return !a.owner_before(b) && !b.owner_before(a);
+}
+
+/** True when @p a and @p b share a key (both need a shared image). */
+bool
+sameWarmKey(const SystemConfig &a, const SystemConfig &b)
+{
+    return a.program && b.program && sameOwner(a.program, b.program) &&
+        WarmKey(a) == WarmKey(b);
+}
+
+} // namespace
+
+std::vector<std::size_t>
+warmLeadersFirst(const std::vector<const SystemConfig *> &cfgs)
+{
+    std::vector<std::size_t> order, rest;
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        bool led = std::any_of(order.begin(), order.end(), [&](auto j) {
+            return sameWarmKey(*cfgs[j], *cfgs[i]);
+        });
+        (led ? rest : order).push_back(i);
+    }
+    order.insert(order.end(), rest.begin(), rest.end());
+    return order;
+}
+
+/** One key and its checkpoint. */
+struct WarmCache::Entry
+{
+    std::weak_ptr<const workload::Program> image;
+    WarmKey key;
 
     std::once_flag once;
     std::shared_ptr<const WarmCheckpoint> state; //!< set inside `once`
 
-    explicit Entry(const SystemConfig &cfg)
-        : image(cfg.program), runSeed(cfg.runSeed),
-          warmInstrs(cfg.functionalWarmInstrs), llc(cfg.llc),
-          l1iBytes(cfg.l1i.capacityBytes), l1iAssoc(cfg.l1i.assoc),
-          l1dBytes(cfg.l1d.capacityBytes), l1dAssoc(cfg.l1d.assoc),
-          btbEntries(cfg.btbEntries), btbAssoc(cfg.btbAssoc)
-    {
-    }
+    explicit Entry(const SystemConfig &cfg) : image(cfg.program), key(cfg) {}
 
     bool
     matches(const SystemConfig &cfg) const
     {
-        // Owner equality: the weak reference pins the control block, so
-        // a rebuilt image can never compare equal to a freed one.
-        bool same_image = !image.owner_before(cfg.program) &&
-            !cfg.program.owner_before(image);
-        return same_image && runSeed == cfg.runSeed &&
-            warmInstrs == cfg.functionalWarmInstrs && llc == cfg.llc &&
-            l1iBytes == cfg.l1i.capacityBytes &&
-            l1iAssoc == cfg.l1i.assoc &&
-            l1dBytes == cfg.l1d.capacityBytes &&
-            l1dAssoc == cfg.l1d.assoc && btbEntries == cfg.btbEntries &&
-            btbAssoc == cfg.btbAssoc;
+        return sameOwner(image, cfg.program) && key == WarmKey(cfg);
     }
 };
 

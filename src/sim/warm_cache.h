@@ -3,12 +3,18 @@
  * Shared functional-warmup checkpoints: warm once, restore many.
  *
  * Every System replays `functionalWarmInstrs` retired instructions into
- * its LLC, L1i, L1d, TAGE and BTB before the timed windows (the stand-in
- * for the paper's SimFlex checkpoints, DESIGN.md §7).  For a fixed
- * image, runSeed and warmed geometry that pass is the same for every
- * preset whose warm path does not prime a preset-private structure, so
- * the first cell of such a key walks and captures a WarmCheckpoint and
- * every later cell copies it into its own arena-resident components.
+ * its LLC, L1i, L1d, TAGE and conventional BTB before the timed windows
+ * (the stand-in for the paper's SimFlex checkpoints, DESIGN.md §7).  For
+ * a fixed image, runSeed and cache geometry that pass is the same for
+ * every preset, so the first cell of a key walks and captures a
+ * WarmCheckpoint and every later cell copies it into its own
+ * arena-resident components.
+ *
+ * The BTB geometry is not part of the key: a checkpoint records the
+ * geometry of the BTB it holds, and a cell whose BTB differs (Confluence's
+ * 16 K entries, a Fig. 18 sweep point) restores everything else and
+ * primes its own BTB by replaying the branch stream, as it primes the
+ * preset-private structures (Shotgun's U/C-BTB/RIB, the Micro BTB).
  *
  * The cache is keyed by image *identity* (the shared_ptr owner, never a
  * raw address), so it only serves cells that share an image through
@@ -46,14 +52,26 @@ struct WarmCheckpoint
     mem::L1dCache::Checkpoint l1d;
     frontend::Tage::Checkpoint tage;
     frontend::Btb::Checkpoint btb;
+    unsigned btbEntries = 0; //!< geometry of the BTB `btb` was taken from
+    unsigned btbAssoc = 0;
+
+    /** True when `btb` fits @p cfg's BTB (else the cell replays it). */
+    bool
+    holdsBtbOf(const SystemConfig &cfg) const
+    {
+        return btbEntries == cfg.btbEntries && btbAssoc == cfg.btbAssoc;
+    }
 };
 
 /**
- * True when @p preset's functional warmup touches only the shared
- * structures (PresetRow::warm is WarmMode::Shared).  The others warm
- * privately and store nothing.
+ * Submission order for a sweep over @p cfgs: the first cell of every
+ * warm key, then the rest, each group in index order.  On a pool the
+ * keys' walks then run side by side instead of a key's cells starting
+ * together and blocking on one walk.  A cell without a shared image
+ * walks privately and counts as its own leader.
  */
-bool sharesWarmup(Preset preset);
+std::vector<std::size_t> warmLeadersFirst(
+    const std::vector<const SystemConfig *> &cfgs);
 
 /**
  * Process-wide cache of functional-warmup checkpoints.

@@ -647,8 +647,9 @@ TEST_P(PredecodeCacheProperty, DecodeAtMatchesFullBlockDecode)
         is_branch_offset[br.byteOffset] = true;
     }
     for (unsigned off = 0; off < kBlockBytes; off += kInstrBytes) {
-        if (!is_branch_offset[off])
+        if (!is_branch_offset[off]) {
             EXPECT_TRUE(pd.decodeAt(block, off).empty());
+        }
     }
 }
 

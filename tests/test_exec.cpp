@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -180,6 +182,49 @@ TEST(Schedule, RunIndexedReportsCellsAndOccupancy)
     EXPECT_GT(report.wallSeconds, 0.0);
     EXPECT_GT(report.occupancy(), 0.0);
     EXPECT_LE(report.occupancy(), 1.0 + 1e-9);
+}
+
+TEST(Schedule, RunIndexedOrderKeepsReportIndexedByCell)
+{
+    // Submitted last-first to two workers: the first two cells to start
+    // hold each other at a latch, so cells 3 and 2 start before 1 and 0
+    // whatever the thread timing.  Cell i sleeps i + 1 ms, and its time
+    // and label still land in its own slot.
+    const std::vector<std::size_t> reversed{3, 2, 1, 0};
+    std::mutex mutex;
+    std::vector<std::size_t> started;
+    std::latch first_two(2);
+    auto report = exec::runIndexed(
+        "ordered", 4, 2,
+        [&](std::size_t i) {
+            bool early = false;
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                started.push_back(i);
+                early = started.size() <= 2;
+            }
+            if (early)
+                first_two.arrive_and_wait();
+            std::this_thread::sleep_for(std::chrono::milliseconds(i + 1));
+        },
+        [](std::size_t i) { return "cell-" + std::to_string(i); },
+        reversed);
+    ASSERT_EQ(started.size(), 4u);
+    EXPECT_EQ(std::max(started[0], started[1]), 3u);
+    EXPECT_EQ(std::min(started[0], started[1]), 2u);
+    EXPECT_EQ(std::max(started[2], started[3]), 1u);
+    EXPECT_EQ(std::min(started[2], started[3]), 0u);
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(report.cellTimes[i].label, "cell-" + std::to_string(i));
+        EXPECT_GE(report.cellTimes[i].seconds, (i + 1) * 1e-3);
+    }
+
+    // One job runs in index order whatever the submission order.
+    std::vector<std::size_t> seen;
+    exec::runIndexed(
+        "serial", 4, 1, [&](std::size_t i) { seen.push_back(i); }, {},
+        reversed);
+    EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
 TEST(Schedule, ExecLogDrainsPushedReports)

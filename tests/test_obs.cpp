@@ -366,9 +366,10 @@ TEST(Spans, ScopesNestAndExportChromeTimeline)
     for (const auto &kv : by_span) {
         const obs::JsonValue *parent = kv.second->find("args")->find(
             "parent");
-        if (parent)
+        if (parent) {
             EXPECT_TRUE(by_span.count(parent->asString()))
                 << "orphaned parent " << parent->asString();
+        }
     }
     std::remove(path.c_str());
 }

@@ -3,14 +3,17 @@
  * Tests for the shared functional-warmup checkpoints (sim::WarmCache):
  * a cell that restores a checkpoint must produce exactly the RunResult
  * of a cell that walked the warmup itself, for every preset, serially
- * and on a 4-worker pool; a key is walked once however many workers
- * ask for it at the same time; and an entry lives no longer than its
- * image and never serves a different image, seed or warmed geometry.
- * Part of the exec suites, so the ThreadSanitizer job runs it.
+ * and on a 4-worker pool, and whichever BTB geometry built the
+ * checkpoint; a key is walked once however many workers ask for it at
+ * the same time; an entry lives no longer than its image and never
+ * serves a different image, seed or cache geometry; and a sweep submits
+ * one cell per key first.  Part of the exec suites, so the
+ * ThreadSanitizer job runs it.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <latch>
@@ -100,9 +103,9 @@ TEST(WarmCache, SharedImageMatchesPrivateImageForEveryPreset)
                     << jobs;
             }
         }
-        // One walk per profile; the other 14 sharing presets restore.
+        // One walk per profile; the other 17 presets restore.
         EXPECT_EQ(warm.builds() - builds, kSweepProfiles.size());
-        EXPECT_EQ(warm.hits() - hits, kSweepProfiles.size() * 14);
+        EXPECT_EQ(warm.hits() - hits, kSweepProfiles.size() * 17);
     }
     workload::ImageCache::global().clear();
 }
@@ -205,7 +208,7 @@ TEST(WarmCache, RebuiltImageNeverHitsStaleEntry)
     EXPECT_EQ(warm.hits() - hits, 0u);
 }
 
-TEST(WarmCache, KeySplitsOnSeedAndGeometryNotOnFetchKnobs)
+TEST(WarmCache, KeySplitsOnSeedNotOnFetchKnobsOrBtbGeometry)
 {
     auto &warm = WarmCache::global();
     auto image = freshImage();
@@ -226,11 +229,97 @@ TEST(WarmCache, KeySplitsOnSeedAndGeometryNotOnFetchKnobs)
     System other_seed(seed);
     EXPECT_EQ(warm.builds() - builds, 2u);
 
+    // Another BTB geometry restores the rest and replays its own BTB.
     SystemConfig btb = smallConfig(Preset::Baseline, image);
     btb.btbEntries = 4096;
-    System other_btb(btb);
-    EXPECT_EQ(warm.builds() - builds, 3u);
-    EXPECT_EQ(warm.hits() - hits, 1u);
+    RunResult replayed = simulate(btb, shortWindows());
+    EXPECT_EQ(warm.builds() - builds, 2u);
+    EXPECT_EQ(warm.hits() - hits, 2u);
+    btb.program = nullptr;
+    EXPECT_EQ(replayed, simulate(btb, shortWindows()));
+}
+
+TEST(WarmCache, BtbGeometryReplaysWhicheverCellBuilds)
+{
+    // Confluence's 16 K-entry BTB and Baseline's 2 K-entry one share a
+    // key: the builder's BTB goes into the checkpoint, and the other
+    // cell replays its own, in either order.
+    std::map<Preset, RunResult> reference;
+    for (Preset preset : {Preset::Baseline, Preset::Confluence})
+        reference.emplace(preset, simulate(smallConfig(preset, nullptr),
+                                           shortWindows()));
+
+    auto &warm = WarmCache::global();
+    for (auto order : {std::pair{Preset::Confluence, Preset::Baseline},
+                       std::pair{Preset::Baseline, Preset::Confluence}}) {
+        auto image = freshImage();
+        std::size_t builds = warm.builds();
+        std::size_t hits = warm.hits();
+        for (Preset preset : {order.first, order.second}) {
+            EXPECT_EQ(simulate(smallConfig(preset, image), shortWindows()),
+                      reference.at(preset))
+                << presetName(preset) << " after "
+                << presetName(order.first);
+        }
+        EXPECT_EQ(warm.builds() - builds, 1u);
+        EXPECT_EQ(warm.hits() - hits, 1u);
+    }
+}
+
+TEST(WarmCache, BtbSweepOnOneImageWalksOnce)
+{
+    // Fig. 18's sweep: the conventional BTB of SN4L+Dis+BTB and the
+    // Shotgun tables shrink together, all on one image.
+    std::vector<SystemConfig> cells;
+    for (unsigned div : {1u, 2u, 4u, 8u}) {
+        SystemConfig ours = smallConfig(Preset::SN4LDisBtb, nullptr);
+        ours.btbEntries = 2048 / div;
+        cells.push_back(ours);
+        SystemConfig sg = smallConfig(Preset::Shotgun, nullptr);
+        sg.shotgunBtb.ubtbEntries = 1536 / div;
+        sg.shotgunBtb.cbtbEntries = std::max(128u / div, 16u);
+        sg.shotgunBtb.ribEntries = std::max(512u / div, 32u);
+        cells.push_back(sg);
+    }
+    std::vector<RunResult> reference;
+    for (const SystemConfig &cfg : cells)
+        reference.push_back(simulate(cfg, shortWindows()));
+
+    auto &warm = WarmCache::global();
+    std::size_t builds = warm.builds();
+    std::size_t hits = warm.hits();
+    auto image = freshImage();
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        SystemConfig cfg = cells[i];
+        cfg.program = image;
+        EXPECT_EQ(simulate(cfg, shortWindows()), reference[i])
+            << "cell " << i;
+    }
+    EXPECT_EQ(warm.builds() - builds, 1u);
+    EXPECT_EQ(warm.hits() - hits, cells.size() - 1);
+}
+
+TEST(WarmCache, LeadersFirstSubmitsOneCellPerKeyFirst)
+{
+    auto a = freshImage();
+    auto b = freshImage();
+    SystemConfig other_seed = smallConfig(Preset::Baseline, a);
+    other_seed.runSeed = 7;
+    std::vector<SystemConfig> cfgs = {
+        smallConfig(Preset::Baseline, a),       // 0: leads a
+        smallConfig(Preset::Confluence, a),     // 1: a (BTB size no key)
+        smallConfig(Preset::Baseline, b),       // 2: leads b
+        smallConfig(Preset::NL, b),             // 3: b
+        smallConfig(Preset::Baseline, nullptr), // 4: private, own leader
+        smallConfig(Preset::Shotgun, a),        // 5: a
+        other_seed,                             // 6: leads a at seed 7
+    };
+    std::vector<const SystemConfig *> ptrs;
+    for (const auto &cfg : cfgs)
+        ptrs.push_back(&cfg);
+    EXPECT_EQ(warmLeadersFirst(ptrs),
+              (std::vector<std::size_t>{0, 2, 4, 6, 1, 3, 5}));
+    EXPECT_TRUE(warmLeadersFirst({}).empty());
 }
 
 } // namespace
